@@ -41,7 +41,8 @@ chaos:
 	go test -race -timeout 5m ./internal/fabric/... ./cmd/rtdvs-sweep/...
 
 # fuzz gives the kernel op interpreter and the HTTP API's decode+
-# validate+run path a short coverage-guided budget on every run; raise
+# validate+run path, and the batch engine's release table against the
+# scalar engine, a short coverage-guided budget on every run; raise
 # -fuzztime locally when hunting for real bugs.
 fuzz:
 	go test ./internal/rtos/ -run='^$$' -fuzz=FuzzKernelOps -fuzztime=20s
@@ -49,6 +50,7 @@ fuzz:
 	go test ./internal/serve/ -run='^$$' -fuzz=FuzzSimulateBatchRequest -fuzztime=20s
 	go test ./internal/task/ -run='^$$' -fuzz=FuzzDistributionSampler -fuzztime=20s
 	go test ./internal/serve/ -run='^$$' -fuzz=FuzzMultiCoreConfig -fuzztime=20s
+	go test ./internal/sim/ -run='^$$' -fuzz=FuzzReleaseTable -fuzztime=20s
 
 # bench runs the suite through cmd/rtdvs-bench: it parses ns/op, B/op
 # and allocs/op, writes the JSON report (BENCH_OUT), and fails if a

@@ -107,9 +107,19 @@ func openHarnessJournal(cfg Config, policies []string, outs []harnessOut) (*harn
 	return j, nil
 }
 
+// recordHook, when non-nil, runs after each job record is journaled. It
+// is a test seam: a test cancels a sweep from it at a known point.
+var recordHook func()
+
 // record journals one completed job. Safe for concurrent workers.
 func (j *harnessJournal) record(ui, si int, out *harnessOut) error {
-	return j.append(harnessRecord{UI: ui, SI: si, Energy: out.energy, Misses: out.misses, Bnd: out.bnd})
+	if err := j.append(harnessRecord{UI: ui, SI: si, Energy: out.energy, Misses: out.misses, Bnd: out.bnd}); err != nil {
+		return err
+	}
+	if recordHook != nil {
+		recordHook()
+	}
+	return nil
 }
 
 func (j *harnessJournal) append(v any) error {

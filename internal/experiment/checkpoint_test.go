@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"rtdvs/internal/checkpoint"
 )
@@ -121,7 +120,11 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 // finishes the remainder and matches the uninterrupted run.
 func TestCheckpointResumeAfterCancel(t *testing.T) {
 	cfg := checkpointConfig("")
-	cfg.Sets = 6 // more jobs so the cancel lands mid-sweep
+	// One worker and two chunks' worth of jobs: cancelling once the first
+	// job is journaled lets the first chunk finish and leaves the second
+	// unrun, on any host.
+	cfg.Workers = 1
+	cfg.Sets = 2 * batchChunkJobs(len(ensureBaseline(cfg.Policies))) / len(cfg.Utilizations)
 	want, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -129,15 +132,17 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cfg.Checkpoint = path
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	recordHook = cancel
+	t.Cleanup(func() { recordHook = nil })
 	_, err = RunContext(ctx, cfg)
 	var pe *PartialError
-	if err == nil {
-		t.Skip("sweep finished before the deadline; nothing to resume")
-	}
 	if !errors.As(err, &pe) {
 		t.Fatalf("error %T %v, want *PartialError", err, err)
+	}
+	if pe.Done < 1 || pe.Done >= pe.Total {
+		t.Fatalf("cancelled with %d of %d jobs done, want a mid-sweep cancel", pe.Done, pe.Total)
 	}
 
 	cfg.Resume = true

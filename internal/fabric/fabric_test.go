@@ -358,12 +358,17 @@ func TestRunCancelled(t *testing.T) {
 func TestHedgedStraggler(t *testing.T) {
 	want := localBaseline(t)
 
-	// slowOnce delays the first shard request long past HedgeAfter.
+	// The slow proxy delays its first shard request long past
+	// HedgeAfter. The fast proxy holds its own first shard until the slow
+	// one has received a shard, so the fast worker cannot claim every
+	// shard before the slow worker sees one: a straggler always exists.
 	inner := startWorker(t)
-	var once sync.Once
+	var slowOnce sync.Once
+	slowGot := make(chan struct{})
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/v1/shard") {
-			once.Do(func() {
+			slowOnce.Do(func() {
+				close(slowGot)
 				select {
 				case <-r.Context().Done():
 				case <-time.After(2 * time.Second):
@@ -373,10 +378,24 @@ func TestHedgedStraggler(t *testing.T) {
 		proxyTo(t, inner, w, r)
 	}))
 	t.Cleanup(slow.Close)
+	fastInner := startWorker(t)
+	var fastOnce sync.Once
+	fast := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/v1/shard") {
+			fastOnce.Do(func() {
+				select {
+				case <-r.Context().Done():
+				case <-slowGot:
+				}
+			})
+		}
+		proxyTo(t, fastInner, w, r)
+	}))
+	t.Cleanup(fast.Close)
 
 	f, err := newFabric(Config{
 		Sweep:        testSweep(),
-		Workers:      []string{startWorker(t), slow.URL},
+		Workers:      []string{fast.URL, slow.URL},
 		ShardSize:    3,
 		ShardTimeout: 10 * time.Second,
 		MaxAttempts:  4,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"testing"
 
 	"rtdvs/internal/core"
@@ -16,31 +15,11 @@ import (
 )
 
 // batchMaxSlots bounds the size of a lane's precomputed release table:
-// one hyperperiod of a harmonic task set may contain at most this many
-// release instants before the lane falls back to the timer-heap path.
-// The cap keeps table construction O(small) and the table itself
-// cache-resident; real harmonic (frame-based) sets are far below it.
+// a table that would need more slots (its end marker included) is
+// abandoned and the lane falls back to the timer-heap path. The cap
+// keeps table construction O(small) and the table itself cache-resident;
+// real harmonic (frame-based) sets are far below it.
 const batchMaxSlots = 4096
-
-// relSlot is one entry of the release-table build scratch: a release
-// instant within the hyperperiod and the set of tasks (as a bitmask)
-// released at it.
-type relSlot struct {
-	t    float64
-	bits uint64
-}
-
-// cmpRelSlot orders build-scratch slots by time. Ties may land in any
-// order: coincident slots are OR-merged immediately after the sort.
-func cmpRelSlot(a, b relSlot) int {
-	switch {
-	case a.t < b.t:
-		return -1
-	case a.t > b.t:
-		return 1
-	}
-	return 0
-}
 
 // BatchRunner advances K independent simulations in lockstep: all lane
 // state lives in flattened, lane-strided storage (sched.LaneHeaps for
@@ -56,11 +35,14 @@ func cmpRelSlot(a, b relSlot) int {
 // loop with the fault branches, context polls, and non-inlined
 // math.Min/Max calls compiled out. Lanes whose task set is harmonic
 // (task.Set.Hyperperiod, exactly integral periods and phases) replace
-// the release timer heap with a precomputed per-hyperperiod release
-// table: periodic releases become a cursor walk over (time, task-bitmask)
-// slots instead of O(log n) heap churn per task per period. Release
-// times on an integral grid are exact float64 integers, so the table
-// reproduces the scalar heap's times bit-for-bit.
+// the release timer heap with a precomputed release table: periodic
+// releases become a cursor walk over (time, task-bitmask) slots instead
+// of O(log n) heap churn per task per period. The table is merged from
+// the tasks' release sequences and reaches only as far as the run can
+// (one hyperperiod, or just past the horizon when that comes first; see
+// buildReleaseTable). Release times on an integral grid are exact
+// float64 integers, so the table reproduces the scalar heap's times
+// bit-for-bit.
 //
 // Lanes that do configure Faults or a Recorder are executed on embedded
 // scalar Runners (one per such lane, retained across batches), keeping
@@ -93,9 +75,8 @@ type BatchRunner struct {
 	states  []taskState
 	resTime []float64
 
-	due      []int     // scratch: timer-heap lanes' release drain
-	released []int     // scratch: release events pending policy callbacks
-	slots    []relSlot // scratch: release-table construction
+	due      []int // scratch: timer-heap lanes' release drain
+	released []int // scratch: release events pending policy callbacks
 
 	fallback []*Runner           // scalar runners for fault/recorder lanes
 	seen     map[core.Policy]int // duplicate policy-instance detection
@@ -176,9 +157,10 @@ type lane struct {
 	cacheValid bool
 
 	// Harmonic release table: when harmonic is true the lane never
-	// touches the timer heap — slotTime/slotBits list every release
-	// instant of one hyperperiod, and (epochBase, cursor) locate the
-	// next pending slot. tabNext caches its absolute time.
+	// touches the timer heap — slotTime/slotBits list the release
+	// instants of one hyperperiod (or of its prefix up to an end marker
+	// past the horizon), and (epochBase, cursor) locate the next pending
+	// slot. tabNext caches its absolute time.
 	harmonic  bool
 	slotTime  []float64
 	slotBits  []uint64
@@ -427,7 +409,7 @@ func (b *BatchRunner) setupLane(l, maxN, maxSel int) {
 		PointResTime: prt,
 	}
 
-	ln.harmonic = b.buildReleaseTable(ln)
+	ln.harmonic = ln.buildReleaseTable()
 	t0 := cfg.Tasks.Task(0)
 	ln.frame = ln.harmonic
 	ln.readyBits = 0
@@ -468,17 +450,28 @@ func (b *BatchRunner) setupLane(l, maxN, maxSel int) {
 	ln.inv.checkUtilization()
 }
 
-// buildReleaseTable precomputes one hyperperiod of release instants for
-// a harmonic lane, reporting whether the lane qualifies. Qualification
-// is strict so the table is bit-exact against the scalar timer heap:
-// every period and phase must be an exact float64 integer (the scalar
-// engine accumulates release times by repeated addition, which is exact
-// on the integer grid below 2^53 — the same integers the table
-// produces), phases must precede the first period so the [0,H) slot
-// pattern repeats verbatim every hyperperiod, the task count must fit
-// the 64-bit due-bitmask, and the horizon must keep absolute slot times
-// on the exact grid.
-func (b *BatchRunner) buildReleaseTable(ln *lane) bool {
+// buildReleaseTable precomputes a lane's release instants, reporting
+// whether the lane qualifies. Qualification is strict so the table is
+// bit-exact against the scalar timer heap: every period and phase must be
+// an exact float64 integer (the scalar engine accumulates release times
+// by repeated addition, which is exact on the integer grid below 2^53 —
+// the same integers the table produces), phases must precede the first
+// period so the [0,H) slot pattern repeats verbatim every hyperperiod,
+// the task count must fit the 64-bit due-bitmask, and the horizon must
+// keep absolute slot times on the exact grid.
+//
+// The table is built by merging the n arithmetic release sequences
+// (phase, phase+P, …) in time order, one slot per distinct instant with
+// the released tasks OR-ed into its bitmask, and it stops at whichever
+// comes first: the hyperperiod, or the first slot the run can never
+// reach. A slot is consumed only once the lane clock is within fpx.Eps of
+// it, and the clock never passes the horizon, so every slot past
+// Horizon+1 — a whole grid step, far beyond Eps and any rounding of the
+// clock — is unreachable. The first such slot still goes into the table
+// as its end marker: the cursor parks on it, so nextReleaseTime reads the
+// same value the full table would give and a truncated table never
+// wraps. batchMaxSlots caps the slots actually built.
+func (ln *lane) buildReleaseTable() bool {
 	ts := ln.ts
 	n := ts.Len()
 	if n > 64 {
@@ -491,7 +484,9 @@ func (b *BatchRunner) buildReleaseTable(ln *lane) bool {
 	if !(ln.cfg.Horizon+2*h < float64(int64(1)<<53)) {
 		return false
 	}
-	total := 0
+	// next and period hold each task's next release instant and its
+	// period on the integer grid.
+	var next, period [64]int64
 	for i := 0; i < n; i++ {
 		t := ts.Task(i)
 		//rtdvs:ignore floatcmp exact integrality is the gate: the release table is only valid on an exact integer grid
@@ -499,36 +494,37 @@ func (b *BatchRunner) buildReleaseTable(ln *lane) bool {
 			t.Phase < 0 || t.Phase >= t.Period {
 			return false
 		}
-		total += int(h / t.Period)
-	}
-	if total > batchMaxSlots {
-		return false
+		next[i] = int64(t.Phase)
+		period[i] = int64(t.Period)
 	}
 
-	b.slots = b.slots[:0]
-	for i := 0; i < n; i++ {
-		t := ts.Task(i)
-		bit := uint64(1) << uint(i)
-		for at := t.Phase; at < h; at += t.Period {
-			b.slots = append(b.slots, relSlot{t: at, bits: bit})
+	hyper := int64(h)
+	reach := ln.cfg.Horizon + 1
+	ln.slotTime, ln.slotBits = ln.slotTime[:0], ln.slotBits[:0]
+	for {
+		at, due := hyper, uint64(0)
+		for i, t := range next[:n] {
+			if t < at {
+				at, due = t, 1<<uint(i)
+			} else if t == at {
+				due |= 1 << uint(i)
+			}
 		}
-	}
-	slices.SortFunc(b.slots, cmpRelSlot)
-	out := 0
-	for _, s := range b.slots {
-		//rtdvs:ignore floatcmp slot times sit on the exact integer grid the table gate enforces; coincident means bit-equal
-		if out > 0 && b.slots[out-1].t == s.t {
-			b.slots[out-1].bits |= s.bits
-		} else {
-			b.slots[out] = s
-			out++
+		if at == hyper {
+			break // one whole hyperperiod: the table wraps
 		}
-	}
-	ln.slotTime = growZeroed(ln.slotTime, out)
-	ln.slotBits = growZeroed(ln.slotBits, out)
-	for j := 0; j < out; j++ {
-		ln.slotTime[j] = b.slots[j].t
-		ln.slotBits[j] = b.slots[j].bits
+		if len(ln.slotTime) == batchMaxSlots {
+			return false
+		}
+		ln.slotTime = append(ln.slotTime, float64(at))
+		ln.slotBits = append(ln.slotBits, due)
+		if float64(at) > reach {
+			break // end marker: never consumed, so the table never wraps
+		}
+		for m := due; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			next[i] += period[i]
+		}
 	}
 	ln.hyper = h
 	ln.epochBase = 0

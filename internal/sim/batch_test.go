@@ -9,6 +9,7 @@ import (
 
 	"rtdvs/internal/core"
 	"rtdvs/internal/fault"
+	"rtdvs/internal/fpx"
 	"rtdvs/internal/machine"
 	"rtdvs/internal/task"
 	"rtdvs/internal/trace"
@@ -164,6 +165,212 @@ func TestBatchHarmonicLanesUseReleaseTable(t *testing.T) {
 	if br.lanes[1].harmonic {
 		t.Error("non-integral lane engaged the release table")
 	}
+}
+
+// runLanes runs ts for the horizon under every paper policy, one lane
+// each, on a fresh BatchRunner. Every lane must match a scalar Runner on
+// the same configuration exactly, and every lane that ran must take the
+// release table path exactly when table is set. Each run draws
+// execution times from its own uniform model seeded with seed. The
+// runner is returned so callers can inspect the lanes' tables.
+func runLanes(t *testing.T, label string, ts *task.Set, horizon float64, seed int64, table bool) *BatchRunner {
+	t.Helper()
+	mk := func(pname string) Config {
+		p, err := core.ByName(pname)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := task.UniformFraction{Lo: 0.2, Hi: 1, Rand: rand.New(rand.NewSource(seed))}
+		return Config{Tasks: ts, Machine: machine.Machine1(), Policy: p, Exec: exec, Horizon: horizon}
+	}
+	names := core.Names()
+	cfgs := make([]Config, len(names))
+	for i, pname := range names {
+		cfgs[i] = mk(pname)
+	}
+	br := NewBatchRunner()
+	results, errs := br.Run(cfgs)
+	for i, pname := range names {
+		if errs[i] == nil && br.lanes[i].harmonic != table {
+			t.Errorf("%s %s: release table path = %v, want %v", label, pname, br.lanes[i].harmonic, table)
+		}
+		want, wantErr := Run(mk(pname))
+		requireSameAsScalar(t, label+" "+pname, results[i], errs[i], want, wantErr)
+	}
+	return br
+}
+
+// The release table reaches only as far as the run can: a horizon short
+// of the hyperperiod builds a prefix that ends in a marker past the
+// horizon and never wraps, while a horizon at or beyond the hyperperiod
+// builds the whole period and wraps onto the next one. Either way every
+// lane matches the scalar engine.
+func TestReleaseTableHorizonBound(t *testing.T) {
+	ts := harmonicSet(t,
+		task.Task{Period: 12, WCET: 3},
+		task.Task{Period: 18, WCET: 4},
+		task.Task{Period: 40, WCET: 6},
+	) // hyperperiod 360: 30 + 20 + 9 releases at 46 distinct instants
+	for _, c := range []struct {
+		name    string
+		horizon float64
+		slots   int
+		wraps   bool
+	}{
+		{"horizon<H", 100, 15, false}, // instants up to 101, then 108 as the end marker
+		{"horizon=H", 360, 46, true},
+		{"horizon>>H", 5000, 46, true},
+	} {
+		br := runLanes(t, c.name, ts, c.horizon, 3, true)
+		for l := range br.lanes {
+			ln := &br.lanes[l]
+			if len(ln.slotTime) != c.slots {
+				t.Errorf("%s lane %d: %d slots, want %d", c.name, l, len(ln.slotTime), c.slots)
+			}
+			if wrapped := ln.epochBase > 0; wrapped != c.wraps {
+				t.Errorf("%s lane %d: wrapped = %v, want %v", c.name, l, wrapped, c.wraps)
+			}
+			if !c.wraps && !(ln.slotTime[len(ln.slotTime)-1] > c.horizon+1) {
+				t.Errorf("%s lane %d: truncated table ends at %g, not past the horizon",
+					c.name, l, ln.slotTime[len(ln.slotTime)-1])
+			}
+		}
+	}
+}
+
+// Table lanes match the scalar engine on phased sets with coincident
+// releases, on a full 64-task set, and at horizons within or just past
+// fpx.Eps of a release instant, where the same fpx comparisons as the
+// scalar engine's decide whether the lane consumes the slot. slots pins
+// the task bitmask of chosen instants: tasks released together share
+// one slot, replayed in task index order like the scalar heap drain.
+func TestReleaseTableMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	sixtyFour := make([]task.Task, 64)
+	for i := range sixtyFour {
+		p := float64(int(16) << uint(rng.Intn(4))) // 16, 32, 64 or 128
+		sixtyFour[i] = task.Task{Period: p, WCET: p / 160, Phase: float64(rng.Intn(int(p)))}
+	}
+	var nearSlot []float64 // around 77, where tasks 0 and 1 release together
+	for _, d := range []float64{-2 * fpx.Eps, -fpx.Eps / 2, 0, fpx.Eps / 2, fpx.Eps, 2 * fpx.Eps} {
+		nearSlot = append(nearSlot, 77+d)
+	}
+	for _, c := range []struct {
+		name     string
+		tasks    []task.Task
+		horizons []float64
+		slots    map[float64]uint64
+	}{
+		{
+			name: "near slot",
+			tasks: []task.Task{
+				{Period: 7, WCET: 1},
+				{Period: 11, WCET: 2},
+				{Period: 13, WCET: 3},
+			}, // hyperperiod 1001
+			horizons: nearSlot,
+			slots:    map[float64]uint64{77: 0b011},
+		},
+		{
+			name: "phases",
+			tasks: []task.Task{
+				{Period: 10, WCET: 1, Phase: 5},
+				{Period: 20, WCET: 2, Phase: 5},
+				{Period: 15, WCET: 2},
+				{Period: 30, WCET: 3, Phase: 15},
+				{Period: 60, WCET: 4, Phase: 35},
+			}, // hyperperiod 60
+			horizons: []float64{47, 60, 60.5, 1234.25},
+			slots:    map[float64]uint64{35: 0b10001, 45: 0b01111},
+		},
+		{name: "n=64", tasks: sixtyFour, horizons: []float64{100, 1000.5}},
+	} {
+		ts := harmonicSet(t, c.tasks...)
+		for _, h := range c.horizons {
+			label := fmt.Sprintf("%s horizon %v", c.name, h)
+			br := runLanes(t, label, ts, h, 5, true)
+			ln := &br.lanes[0]
+			for j, at := range ln.slotTime {
+				if w, ok := c.slots[at]; ok && ln.slotBits[j] != w {
+					t.Errorf("%s: slot at %g releases tasks %b, want %b", label, at, ln.slotBits[j], w)
+				}
+			}
+		}
+	}
+}
+
+// A set whose full hyperperiod holds far more than batchMaxSlots release
+// instants still takes the table path when the horizon-bounded table
+// fits, and falls back to the timer heap when it does not.
+func TestReleaseTableCapAppliesToBuiltSlots(t *testing.T) {
+	ts := harmonicSet(t,
+		task.Task{Period: 97, WCET: 20},
+		task.Task{Period: 101, WCET: 20},
+		task.Task{Period: 103, WCET: 20},
+	) // hyperperiod 1009091: about 30000 release instants
+	br := runLanes(t, "primes", ts, 20*103, 8, true)
+	if n := len(br.lanes[0].slotTime); n > 100 {
+		t.Errorf("horizon-bounded table has %d slots, want about 60", n)
+	}
+
+	p, _ := core.ByName("ccEDF")
+	long := Config{Tasks: ts, Machine: machine.Machine1(), Policy: p, Horizon: 1e6}
+	br = NewBatchRunner()
+	if _, errs := br.Run([]Config{long}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if br.lanes[0].harmonic {
+		t.Error("a table past batchMaxSlots was built")
+	}
+}
+
+// fuzzHorizonFracs are the fractional parts FuzzReleaseTable adds to its
+// integral horizons: whole, halfway, and within or just past fpx.Eps of
+// a release instant on either side.
+var fuzzHorizonFracs = []float64{0, 0.5, 0.25, 0.999, fpx.Eps / 2, -fpx.Eps / 2, 2 * fpx.Eps, -2 * fpx.Eps}
+
+// FuzzReleaseTable drives small integer-period sets (n ≤ 8, periods up
+// to 48, phases that may or may not precede the period) through a
+// BatchRunner lane per paper policy. Every lane must match the scalar
+// Runner exactly and must take the release table path exactly when the
+// set qualifies for it. The horizons stay below batchMaxSlots, so the
+// horizon-bounded table always fits.
+func FuzzReleaseTable(f *testing.F) {
+	// spec is n-1, then (period-1, phase, WCET eighths) per task.
+	f.Add([]byte{2, 11, 0, 3, 17, 0, 4, 39, 0, 6}, uint16(99), uint8(0), int64(1))
+	f.Add([]byte{1, 6, 0, 1, 10, 0, 2}, uint16(76), uint8(4), int64(2))
+	f.Add([]byte{3, 9, 5, 1, 19, 5, 2, 14, 0, 2, 29, 15, 3}, uint16(59), uint8(1), int64(3))
+	f.Add([]byte{0, 5, 7, 1}, uint16(40), uint8(6), int64(4))
+	f.Fuzz(func(t *testing.T, spec []byte, horizon uint16, frac uint8, seed int64) {
+		if len(spec) == 0 {
+			t.Skip()
+		}
+		n := 1 + int(spec[0]%8)
+		spec = spec[1:]
+		if len(spec) < 3*n {
+			t.Skip()
+		}
+		tasks := make([]task.Task, n)
+		qualifies := true
+		for i := range tasks {
+			period := 1 + int(spec[3*i]%48)
+			phase := int(spec[3*i+1] % 64)
+			if phase >= period {
+				qualifies = false
+			}
+			wcet := float64(period) * float64(1+spec[3*i+2]%8) / float64(8*n)
+			tasks[i] = task.Task{Period: float64(period), Phase: float64(phase), WCET: wcet}
+		}
+		ts, err := task.NewSet(tasks...)
+		if err != nil {
+			t.Skip()
+		}
+		if _, ok := ts.Hyperperiod(); !ok {
+			qualifies = false
+		}
+		h := float64(1+horizon%(batchMaxSlots-64)) + fuzzHorizonFracs[int(frac)%len(fuzzHorizonFracs)]
+		runLanes(t, "fuzz", ts, h, seed, qualifies)
+	})
 }
 
 func mustSet(t testing.TB, tasks ...task.Task) *task.Set {
