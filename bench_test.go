@@ -673,9 +673,8 @@ func BenchmarkAblationClairvoyantGap(b *testing.B) {
 // periodic task sets (n tasks sharing one period — the paper's
 // per-frame workload shape) whose clustered releases engage the
 // BatchRunner's precomputed release table and single-frame ready
-// bitmask, each lane with its own policy instance. Lane load varies so
-// the lanes finish at staggered simulated times and the cross-lane
-// selector does real work. task.Generator draws real-valued periods and
+// bitmask, each lane with its own policy instance and its own load.
+// task.Generator draws real-valued periods and
 // so never produces a harmonic set; sweep-style batching is measured
 // separately by the figure benches.
 func batchBenchConfigs(b *testing.B, k, n int, policy string) []sim.Config {
@@ -712,11 +711,12 @@ func batchBenchConfigs(b *testing.B, k, n int, policy string) []sim.Config {
 var batchBenchPolicies = []string{"staticEDF", "ccEDF"}
 
 // BenchmarkBatchThroughput runs K=64 simulations per iteration through
-// the lockstep BatchRunner. Compare against BenchmarkBatchScalarBaseline,
-// which runs the identical configurations one at a time on a reused
-// scalar Runner: the batch engine's contract is >=2x on the
-// engine-dominated staticEDF variant with 0 allocs/op in steady state
-// (results are bit-identical either way — see sim's
+// a reused BatchRunner, which runs them back to back. Compare against
+// BenchmarkBatchScalarBaseline, which runs the identical configurations
+// one at a time on a reused scalar Runner: on these frame-based sets the
+// batch engine's release table and ready bitmask make it >=2x faster on
+// the engine-dominated staticEDF variant, with 0 allocs/op in steady
+// state (results are bit-identical either way — see sim's
 // TestBatchMatchesScalarAcrossPolicies).
 func BenchmarkBatchThroughput(b *testing.B) {
 	const K, N = 64, 16
@@ -771,36 +771,6 @@ func BenchmarkBatchScalarBaseline(b *testing.B) {
 			}
 			b.ReportMetric(float64(events)/K, "events/lane")
 		})
-	}
-}
-
-// BenchmarkLaneHeaps measures the flattened lane-strided heap that
-// backs the batch engine's timer and ready queues: steady-state
-// push/pop churn across 64 lanes, 0 allocs/op.
-func BenchmarkLaneHeaps(b *testing.B) {
-	b.ReportAllocs()
-	const lanes, stride = 64, 8
-	h := sched.NewLaneHeaps()
-	h.Reset(lanes, stride)
-	r := rand.New(rand.NewSource(1))
-	keys := make([]float64, lanes*stride)
-	for i := range keys {
-		keys[i] = r.Float64()
-	}
-	for l := 0; l < lanes; l++ {
-		for ti := 0; ti < stride; ti++ {
-			if err := h.Push(l, ti, keys[l*stride+ti]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l := i % lanes
-		ti := h.Pop(l)
-		if err := h.Push(l, ti, keys[(i*7+ti)%len(keys)]); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

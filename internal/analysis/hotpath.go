@@ -97,9 +97,10 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/machine.PointSelector.Index":   "TestSelectorMatchesLowestAtLeast",
 	"rtdvs/internal/machine.PointSelector.Len":     "TestSelectorMatchesLowestAtLeast",
 
-	// Batched lockstep engine: a reused BatchRunner pass over 64 lanes
+	// Batch engine: a reused BatchRunner running 64 lanes back to back
 	// must stay at 0 allocs/op (also pinned by sim's
 	// TestBatchRunnerSteadyStateAllocs AllocsPerRun check).
+	"rtdvs/internal/sim.lane.run":                  "BenchmarkBatchThroughput",
 	"rtdvs/internal/sim.lane.step":                 "BenchmarkBatchThroughput",
 	"rtdvs/internal/sim.lane.fireReleases":         "BenchmarkBatchThroughput",
 	"rtdvs/internal/sim.lane.processReleasesHeap":  "BenchmarkBatchThroughput",
@@ -113,22 +114,6 @@ var HotpathRegistry = map[string]string{
 	"rtdvs/internal/sim.lane.readyKey":             "BenchmarkBatchThroughput",
 	"rtdvs/internal/sim.lane.selIndex":             "BenchmarkBatchThroughput",
 	"rtdvs/internal/sim.lane.nextReleaseTime":      "BenchmarkBatchThroughput",
-
-	// Flattened lane-strided heaps backing the batch engine's timer and
-	// ready queues: steady-state push/pop churn allocates nothing.
-	"rtdvs/internal/sched.LaneHeaps.Push":     "BenchmarkLaneHeaps",
-	"rtdvs/internal/sched.LaneHeaps.Pop":      "BenchmarkLaneHeaps",
-	"rtdvs/internal/sched.LaneHeaps.Peek":     "BenchmarkLaneHeaps",
-	"rtdvs/internal/sched.LaneHeaps.PeekKey":  "BenchmarkLaneHeaps",
-	"rtdvs/internal/sched.LaneHeaps.Remove":   "BenchmarkLaneHeaps",
-	"rtdvs/internal/sched.LaneHeaps.Update":   "BenchmarkLaneHeaps",
-	"rtdvs/internal/sched.LaneHeaps.Contains": "BenchmarkLaneHeaps",
-	"rtdvs/internal/sched.LaneHeaps.Len":      "BenchmarkLaneHeaps",
-	"rtdvs/internal/sched.LaneHeaps.removeAt": "BenchmarkLaneHeaps",
-	"rtdvs/internal/sched.LaneHeaps.siftUp":   "BenchmarkLaneHeaps",
-	"rtdvs/internal/sched.LaneHeaps.siftDown": "BenchmarkLaneHeaps",
-	"rtdvs/internal/sched.LaneHeaps.swap":     "BenchmarkLaneHeaps",
-	"rtdvs/internal/sched.LaneHeaps.less":     "BenchmarkLaneHeaps",
 
 	// Metrics instrument updates: one atomic op each, pinned at exactly
 	// zero allocations so instruments may sit on the simulator hot path.

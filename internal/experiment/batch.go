@@ -1,21 +1,18 @@
 package experiment
 
 import (
+	"context"
 	"math/rand"
 
-	"context"
-
 	"rtdvs/internal/bound"
-	"rtdvs/internal/core"
 	"rtdvs/internal/sim"
 	"rtdvs/internal/task"
 )
 
 // batchLaneTarget is the lane count a worker's chunk aims for: enough
-// lanes that the BatchRunner's lockstep loop amortizes its dispatch and
-// keeps the cross-lane selector busy, small enough that a chunk's
-// working set (K lanes × per-lane heaps and task state) stays cache
-// resident.
+// lanes that one BatchRunner call amortizes the per-chunk bookkeeping
+// (generation, expansion, extraction) over many simulations, few enough
+// that cancellation and checkpoint journaling stay fine-grained.
 const batchLaneTarget = 64
 
 // batchChunkJobs returns how many grid jobs one chunk should carry when
@@ -28,29 +25,12 @@ func batchChunkJobs(np int) int {
 	return n
 }
 
-// poolPolicy returns the ci-th instance of the named policy, creating
-// and caching instances on demand. Batch lanes run interleaved, so two
-// lanes may never share a policy instance — the pool hands out one per
-// chunk-local job index, and instances are reused across chunks
-// (Policy.Attach resets them, exactly as the scalar path relies on).
-func (jr *jobRunner) poolPolicy(pname string, ci int) (core.Policy, error) {
-	pool := jr.ppool[pname]
-	for len(pool) <= ci {
-		p, err := core.ByName(pname)
-		if err != nil {
-			return nil, err
-		}
-		pool = append(pool, p)
-	}
-	jr.ppool[pname] = pool
-	return pool[ci], nil
-}
-
-// runChunk executes the grid jobs js as one lockstep batch: every job
-// expands to one lane per policy, all lanes advance together through
-// the shared BatchRunner, and each job's scalar outputs land in the
-// corresponding outs slot. It returns one error per job (aligned with
-// js, nil on success); outs[i].ok is set only for error-free jobs.
+// runChunk executes the grid jobs js as one batch: every job expands to
+// one lane per policy, the lanes run back to back on the shared
+// BatchRunner, and each job's scalar outputs land in the corresponding
+// outs slot. It returns one error per job (aligned with js, nil on
+// success); outs[i].ok is set only for error-free jobs. Multi-core jobs
+// run one at a time through runOne.
 //
 // Per-job seeding, policy order, and execution-time randomness are
 // identical to runOne's, and BatchRunner lanes are bit-identical to the
@@ -60,9 +40,6 @@ func (jr *jobRunner) poolPolicy(pname string, ci int) (core.Policy, error) {
 // before pi, which is precisely what the sequential scalar path would
 // have run.
 func (jr *jobRunner) runChunk(ctx context.Context, cfg Config, policies []string, baseIdx int, js []int, outs []*harnessOut) []error {
-	if cfg.Machine.NumCores() > 1 {
-		return jr.runChunkMulti(ctx, cfg, policies, baseIdx, js, outs)
-	}
 	np := len(policies)
 	jr.cfgs = jr.cfgs[:0]
 	jr.laneOK = jr.laneOK[:0]
@@ -74,6 +51,12 @@ func (jr *jobRunner) runChunk(ctx context.Context, cfg Config, policies []string
 			jr.jobErrs[i] = nil
 		}
 	}
+	if cfg.Machine.NumCores() > 1 {
+		for ci, j := range js {
+			jr.jobErrs[ci] = jr.runOne(ctx, cfg, policies, baseIdx, j, outs[ci])
+		}
+		return jr.jobErrs
+	}
 
 	// Pass 1: generate each job's task set and expand it into lanes.
 	// laneOK marks jobs whose lanes made it into the batch; a generation
@@ -81,7 +64,7 @@ func (jr *jobRunner) runChunk(ctx context.Context, cfg Config, policies []string
 	for ci, j := range js {
 		ui, si := j/cfg.Sets, j%cfg.Sets
 		u := cfg.Utilizations[ui]
-		seed := cfg.Seed + int64(ui)*1_000_003 + int64(si)*7919
+		seed := jobSeed(cfg.Seed, ui, si)
 		r := rand.New(rand.NewSource(seed))
 		g := task.Generator{N: cfg.NTasks, Utilization: u, Rand: r}
 		ts, err := g.Generate()
@@ -96,7 +79,7 @@ func (jr *jobRunner) runChunk(ctx context.Context, cfg Config, policies []string
 		}
 		ok := true
 		for _, pname := range policies {
-			p, err := jr.poolPolicy(pname, ci)
+			p, err := jr.policy(pname)
 			if err != nil {
 				jr.jobErrs[ci] = err
 				ok = false
@@ -123,7 +106,7 @@ func (jr *jobRunner) runChunk(ctx context.Context, cfg Config, policies []string
 		jr.laneOK = append(jr.laneOK, true)
 	}
 
-	// Pass 2: one lockstep run for every lane of every viable job.
+	// Pass 2: one batch run over every lane of every viable job.
 	results, errs := jr.batch.RunContext(ctx, jr.cfgs)
 
 	// Pass 3: per-job extraction in (job, policy) order.
@@ -158,105 +141,6 @@ func (jr *jobRunner) runChunk(ctx context.Context, cfg Config, policies []string
 		}
 		horizon := jr.cfgs[lane-1].Horizon
 		bnd, err := bound.Energy(cfg.Machine, baseCycles, horizon)
-		if err != nil {
-			jr.jobErrs[ci] = err
-			continue
-		}
-		out.bnd = bnd
-		out.ok = true
-	}
-	return jr.jobErrs
-}
-
-// runChunkMulti is runChunk for multi-core sweeps: each lane is a whole
-// MultiConfig (the BatchRunner expands partitioned items into per-core
-// lockstep lanes internally), policies travel by name because the multi
-// engine constructs its own instances, and the baseline's per-core
-// cycle counts feed the partitioned bound. Everything else — seeding,
-// lane order, metrics accounting, error alignment — mirrors runChunk,
-// so chunked multi-core sweeps fold bit-identically to runOneMulti's.
-func (jr *jobRunner) runChunkMulti(ctx context.Context, cfg Config, policies []string, baseIdx int, js []int, outs []*harnessOut) []error {
-	jr.mcfgs = jr.mcfgs[:0]
-	jr.laneOK = jr.laneOK[:0]
-	if cap(jr.jobErrs) < len(js) {
-		jr.jobErrs = make([]error, len(js))
-	} else {
-		jr.jobErrs = jr.jobErrs[:len(js)]
-		for i := range jr.jobErrs {
-			jr.jobErrs[i] = nil
-		}
-	}
-
-	// Pass 1: generate each job's task set and expand it into one
-	// MultiConfig lane per policy.
-	for ci, j := range js {
-		ui, si := j/cfg.Sets, j%cfg.Sets
-		u := cfg.Utilizations[ui]
-		seed := cfg.Seed + int64(ui)*1_000_003 + int64(si)*7919
-		r := rand.New(rand.NewSource(seed))
-		g := task.Generator{N: cfg.NTasks, Utilization: u, Rand: r}
-		ts, err := g.Generate()
-		if err != nil {
-			jr.jobErrs[ci] = err
-			jr.laneOK = append(jr.laneOK, false)
-			continue
-		}
-		horizon := cfg.Horizon
-		if horizon <= 0 {
-			horizon = 10 * ts.MaxPeriod()
-		}
-		for _, pname := range policies {
-			jr.mcfgs = append(jr.mcfgs, sim.MultiConfig{
-				Tasks:     ts,
-				Machine:   cfg.Machine,
-				Policy:    pname,
-				Placement: cfg.Placement,
-				Exec:      cfg.ExecSpec,
-				Seed:      seed ^ 0x5DEECE66D,
-				Horizon:   horizon,
-			})
-		}
-		jr.laneOK = append(jr.laneOK, true)
-	}
-
-	// Pass 2: one lockstep run for every lane of every viable job.
-	results, errs := jr.batch.RunMultiContext(ctx, jr.mcfgs)
-
-	// Pass 3: per-job extraction in (job, policy) order.
-	lane := 0
-	for ci := range js {
-		if !jr.laneOK[ci] {
-			continue
-		}
-		out := outs[ci]
-		var coreCycles []float64
-		failed := false
-		for pi := range policies {
-			res, err := results[lane], errs[lane]
-			lane++
-			if failed {
-				continue
-			}
-			if err != nil {
-				jr.jobErrs[ci] = err
-				failed = true
-				continue
-			}
-			cfg.Metrics.simRun(res.MissCount())
-			out.energy[pi] = res.TotalEnergy
-			out.misses[pi] = res.MissCount()
-			if pi == baseIdx {
-				coreCycles = make([]float64, len(res.PerCore))
-				for c := range res.PerCore {
-					coreCycles[c] = res.PerCore[c].CyclesDone
-				}
-			}
-		}
-		if failed {
-			continue
-		}
-		horizon := jr.mcfgs[lane-1].Horizon
-		bnd, err := bound.PartitionedEnergy(cfg.Machine, coreCycles, horizon)
 		if err != nil {
 			jr.jobErrs[ci] = err
 			continue

@@ -185,7 +185,7 @@ func GridContext(ctx context.Context, cfg GridConfig) (*RobustnessGrid, error) {
 					continue
 				}
 				ri, si := j/cfg.Sets, j%cfg.Sets
-				setSeed := cfg.Seed + int64(si)*7919
+				setSeed := jobSeed(cfg.Seed, 0, si)
 				r := rand.New(rand.NewSource(setSeed))
 				g := task.Generator{N: cfg.NTasks, Utilization: cfg.Utilization, Rand: r}
 				ts, err := g.Generate()

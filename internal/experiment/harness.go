@@ -202,28 +202,30 @@ func execDesc(cfg Config) string {
 	return cfg.Exec(rand.New(rand.NewSource(1))).String()
 }
 
+// jobSeed is the task-set seed of grid cell (ui, si): every sweep panel
+// draws set si of utilization point ui from it. Panels without a
+// utilization axis pass ui = 0.
+func jobSeed(seed int64, ui, si int) int64 {
+	return seed + int64(ui)*1_000_003 + int64(si)*7919
+}
+
 // jobRunner bundles the reusable per-worker simulation state: one
-// scalar simulator, one lockstep batch engine, and pooled policy
-// instances, all reset via Runner/BatchRunner reuse and Policy.Attach
+// scalar simulator, one batch engine, one multi-core engine, and one
+// instance per policy, all reset via runner reuse and Policy.Attach
 // between runs, so a sweep of hundreds of simulations allocates per
 // worker (or per shard), not per run.
 type jobRunner struct {
 	runner *sim.Runner
 	pcache map[string]core.Policy
 
-	// Batched execution state: the lockstep engine, per-(policy,
-	// chunk-slot) instance pool (interleaved lanes may never share a
-	// policy instance), and reusable chunk scratch.
+	// Batched execution state: the engine and reusable chunk scratch.
 	batch   *sim.BatchRunner
-	ppool   map[string][]core.Policy
 	cfgs    []sim.Config
 	laneOK  []bool
 	jobErrs []error
 
-	// Multi-core execution state (Cores > 1): the per-worker MultiRunner
-	// and the chunk's expanded multi-core configurations.
+	// multi is the per-worker multi-core engine (Cores > 1).
 	multi *sim.MultiRunner
-	mcfgs []sim.MultiConfig
 }
 
 func newJobRunner() *jobRunner {
@@ -231,8 +233,22 @@ func newJobRunner() *jobRunner {
 		runner: sim.NewRunner(),
 		pcache: map[string]core.Policy{},
 		batch:  sim.NewBatchRunner(),
-		ppool:  map[string][]core.Policy{},
 	}
+}
+
+// policy returns the worker's instance of the named policy, creating it
+// on first use. Runs are sequential and Attach resets a policy, so one
+// instance serves every run of the worker.
+func (jr *jobRunner) policy(pname string) (core.Policy, error) {
+	p := jr.pcache[pname]
+	if p == nil {
+		var err error
+		if p, err = core.ByName(pname); err != nil {
+			return nil, err
+		}
+		jr.pcache[pname] = p
+	}
+	return p, nil
 }
 
 // runOne executes flat job j (= ui*Sets+si) of cfg's grid into out.
@@ -243,7 +259,7 @@ func newJobRunner() *jobRunner {
 func (jr *jobRunner) runOne(ctx context.Context, cfg Config, policies []string, baseIdx, j int, out *harnessOut) error {
 	ui, si := j/cfg.Sets, j%cfg.Sets
 	u := cfg.Utilizations[ui]
-	seed := cfg.Seed + int64(ui)*1_000_003 + int64(si)*7919
+	seed := jobSeed(cfg.Seed, ui, si)
 	r := rand.New(rand.NewSource(seed))
 	g := task.Generator{N: cfg.NTasks, Utilization: u, Rand: r}
 	ts, err := g.Generate()
@@ -260,13 +276,9 @@ func (jr *jobRunner) runOne(ctx context.Context, cfg Config, policies []string, 
 
 	var baseCycles float64
 	for pi, pname := range policies {
-		p := jr.pcache[pname]
-		if p == nil {
-			p, err = core.ByName(pname)
-			if err != nil {
-				return err
-			}
-			jr.pcache[pname] = p
+		p, err := jr.policy(pname)
+		if err != nil {
+			return err
 		}
 		// Each policy sees the same per-set randomness for its
 		// execution-time draws.
@@ -400,7 +412,7 @@ func RunContext(ctx context.Context, cfg Config) (*Sweep, error) {
 	}
 
 	// Each worker gathers jobs from the channel into a chunk and runs
-	// the chunk's simulations in lockstep on its BatchRunner. Per-job
+	// the chunk's simulations on its BatchRunner. Per-job
 	// results are pure functions of (cfg, j) and batch lanes are
 	// bit-identical to the scalar Runner, so the fold is unchanged by
 	// chunking, worker count, or arrival order.

@@ -157,7 +157,7 @@ func powerSweep(ctx context.Context, pc powerConfig, o Options) (*PowerSweep, er
 				}
 				ui, si := j/sets, j%sets
 				u := utils[ui]
-				seed := o.Seed + int64(ui)*1_000_003 + int64(si)*7919
+				seed := jobSeed(o.Seed, ui, si)
 				r := rand.New(rand.NewSource(seed))
 				g := task.Generator{N: pc.nTasks, Utilization: u, Rand: r}
 				ts, err := g.Generate()

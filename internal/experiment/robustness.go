@@ -214,7 +214,7 @@ func RobustnessContext(ctx context.Context, cfg RobustnessConfig) (*RobustnessSw
 				ri, si := j/cfg.Sets, j%cfg.Sets
 				// The task set depends only on the set index, so every rate
 				// stresses the same workloads.
-				setSeed := cfg.Seed + int64(si)*7919
+				setSeed := jobSeed(cfg.Seed, 0, si)
 				r := rand.New(rand.NewSource(setSeed))
 				g := task.Generator{N: cfg.NTasks, Utilization: cfg.Utilization, Rand: r}
 				ts, err := g.Generate()

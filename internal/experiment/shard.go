@@ -87,7 +87,7 @@ func NumJobs(cfg Config) (int, error) {
 // their results in the same order. It is the shard execution primitive
 // of the distributed sweep fabric: per-job seeding is a pure function
 // of (cfg, index), so a shard computes exactly what the local worker
-// pool would have, wherever it runs. Jobs run in lockstep chunks on one
+// pool would have, wherever it runs. Jobs run in chunks on one
 // reusable jobRunner's BatchRunner — shards, not jobs, are the unit of
 // parallelism, and batch lanes are bit-identical to the scalar Runner,
 // so chunking leaves shard results unchanged.

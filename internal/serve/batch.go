@@ -13,8 +13,11 @@ import (
 // SimulateBatchRequest is the body of POST /v1/simulate:batch: many
 // independent simulations submitted in one request. The whole batch is
 // decoded, validated, and executed together — one HTTP round trip, one
-// concurrency slot, one lockstep BatchRunner pass — which amortizes the
-// per-request overhead that dominates small simulations.
+// concurrency slot, one BatchRunner call for the scalar items — which
+// amortizes the per-request overhead that dominates small simulations.
+// Scalar items run first, then cores > 1 items, each group in request
+// order, so a batch that hits the time limit still answers the items
+// that finished before it.
 type SimulateBatchRequest struct {
 	Items []SimulateRequest `json:"items"`
 }
@@ -58,8 +61,7 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Validate every item up front (the decode already happened once for
 	// the whole body); invalid items get per-item errors and contribute
-	// no lanes. Each item's Config holds its own policy instance, which
-	// is what lets the lanes interleave.
+	// no lanes.
 	resp := SimulateBatchResponse{Items: make([]SimulateBatchItem, len(req.Items))}
 	cfgs := make([]sim.Config, 0, len(req.Items))
 	laneItem := make([]int, 0, len(req.Items))
@@ -97,47 +99,42 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.SimTimeout)
 	defer cancel()
-	if len(cfgs) > 0 || len(mcfgs) > 0 {
+	if len(cfgs) > 0 {
 		br := batchPool.Get().(*sim.BatchRunner)
-		if len(cfgs) > 0 {
-			results, errs := br.RunContext(ctx, cfgs)
-			// Lane results alias the runner's reusable buffers; copy each
-			// into the response before the runner returns to the pool.
-			for li, i := range laneItem {
-				if err := errs[li]; err != nil {
-					var canceled *sim.Canceled
-					if errors.As(err, &canceled) && errors.Is(err, context.DeadlineExceeded) {
-						s.metrics.timeouts.Inc()
-						resp.Items[i].Error = fmt.Sprintf(
-							"simulation exceeded the %v batch limit (stopped at t=%g of %g)",
-							s.cfg.SimTimeout, canceled.At, cfgs[li].Horizon)
-					} else {
-						resp.Items[i].Error = err.Error()
-					}
-					continue
+		results, errs := br.RunContext(ctx, cfgs)
+		// Lane results alias the runner's reusable buffers; copy each
+		// into the response before the runner returns to the pool.
+		for li, i := range laneItem {
+			if err := errs[li]; err != nil {
+				var canceled *sim.Canceled
+				if errors.As(err, &canceled) && errors.Is(err, context.DeadlineExceeded) {
+					resp.Items[i].Error = s.batchTimeout(canceled.At, cfgs[li].Horizon)
+				} else {
+					resp.Items[i].Error = err.Error()
 				}
-				resp.Items[i].Result = results[li].Clone()
+				continue
 			}
-		}
-		if len(mcfgs) > 0 {
-			results, errs := br.RunMultiContext(ctx, mcfgs)
-			for li, i := range mLaneItem {
-				if err := errs[li]; err != nil {
-					var canceled *sim.MultiCanceled
-					if errors.As(err, &canceled) && errors.Is(err, context.DeadlineExceeded) {
-						s.metrics.timeouts.Inc()
-						resp.Items[i].Error = fmt.Sprintf(
-							"simulation exceeded the %v batch limit (stopped at t=%g of %g)",
-							s.cfg.SimTimeout, canceled.At, mcfgs[li].Horizon)
-					} else {
-						resp.Items[i].Error = err.Error()
-					}
-					continue
-				}
-				resp.Items[i].Multi = results[li].Clone()
-			}
+			resp.Items[i].Result = results[li].Clone()
 		}
 		batchPool.Put(br)
+	}
+	if len(mcfgs) > 0 {
+		mr := sim.NewMultiRunner()
+		for li, i := range mLaneItem {
+			res, err := mr.RunContext(ctx, mcfgs[li])
+			if err != nil {
+				var canceled *sim.MultiCanceled
+				if errors.As(err, &canceled) && errors.Is(err, context.DeadlineExceeded) {
+					resp.Items[i].Error = s.batchTimeout(canceled.At, mcfgs[li].Horizon)
+				} else {
+					resp.Items[i].Error = err.Error()
+				}
+				continue
+			}
+			// The result aliases the runner's buffers; the next item
+			// reuses them.
+			resp.Items[i].Multi = res.Clone()
+		}
 	}
 
 	if err := r.Context().Err(); err != nil {
@@ -153,6 +150,14 @@ func (s *Server) handleSimulateBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// batchTimeout counts a batch item stopped by the time limit and
+// returns its error text.
+func (s *Server) batchTimeout(at, horizon float64) string {
+	s.metrics.timeouts.Inc()
+	return fmt.Sprintf("simulation exceeded the %v batch limit (stopped at t=%g of %g)",
+		s.cfg.SimTimeout, at, horizon)
 }
 
 // SimulateBatch runs many simulations in one request. The returned

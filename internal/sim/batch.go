@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"testing"
 
-	"rtdvs/internal/core"
 	"rtdvs/internal/fpx"
 	"rtdvs/internal/machine"
 	"rtdvs/internal/sched"
@@ -21,28 +20,26 @@ import (
 // real harmonic (frame-based) sets are far below it.
 const batchMaxSlots = 4096
 
-// BatchRunner advances K independent simulations in lockstep: all lane
-// state lives in flattened, lane-strided storage (sched.LaneHeaps for
-// the per-lane timer and ready queues, one backing slice each for task
-// states and point residency), and a shared cross-lane selector always
-// steps the lane whose simulated clock is globally earliest. Per-lane
-// results are bit-identical to running each configuration on a scalar
-// Runner: the lane event loop is a faithful transcription of the scalar
-// one, so every float is accumulated in the same order.
+// BatchRunner executes K independent simulations back to back on one
+// reused lane engine: each lane is attached, set up and run to its
+// horizon before the next one starts, exactly as sequential runs on a
+// scalar Runner are. Per-lane results are bit-identical to running each
+// configuration on a scalar Runner: the lane event loop is a faithful
+// transcription of the scalar one, so every float is accumulated in the
+// same order.
 //
-// Two specializations make the lockstep loop cheaper than K scalar
-// loops. Lanes without fault injection or trace recording run a reduced
-// loop with the fault branches, context polls, and non-inlined
-// math.Min/Max calls compiled out. Lanes whose task set is harmonic
-// (task.Set.Hyperperiod, exactly integral periods and phases) replace
-// the release timer heap with a precomputed release table: periodic
-// releases become a cursor walk over (time, task-bitmask) slots instead
-// of O(log n) heap churn per task per period. The table is merged from
-// the tasks' release sequences and reaches only as far as the run can
-// (one hyperperiod, or just past the horizon when that comes first; see
-// buildReleaseTable). Release times on an integral grid are exact
-// float64 integers, so the table reproduces the scalar heap's times
-// bit-for-bit.
+// Two specializations make a lane cheaper than a scalar run. Lanes
+// without fault injection or trace recording run a reduced loop with the
+// fault branches and non-inlined math.Min/Max calls compiled out. Lanes
+// whose task set is harmonic (task.Set.Hyperperiod, exactly integral
+// periods and phases) replace the release timer heap with a precomputed
+// release table: periodic releases become a cursor walk over (time,
+// task-bitmask) slots instead of O(log n) heap churn per task per
+// period. The table is merged from the tasks' release sequences and
+// reaches only as far as the run can (one hyperperiod, or just past the
+// horizon when that comes first; see buildReleaseTable). Release times
+// on an integral grid are exact float64 integers, so the table
+// reproduces the scalar heap's times bit-for-bit.
 //
 // Lanes that do configure Faults or a Recorder are executed on embedded
 // scalar Runners (one per such lane, retained across batches), keeping
@@ -50,39 +47,16 @@ const batchMaxSlots = 4096
 //
 // Like Runner, a BatchRunner reuses every internal buffer, so
 // steady-state batches perform no allocation; the returned Results alias
-// those buffers and are valid until the next Run call. Not safe for
-// concurrent use. Each lane must bring its OWN Policy instance (lanes
-// interleave, so a shared instance would corrupt both lanes' state —
-// shared instances are rejected) and, when the exec model is stateful,
-// its own ExecModel.
+// per-lane buffers and are valid until the next Run call. Not safe for
+// concurrent use. Lanes run one at a time and Attach resets a policy, so
+// lanes may share a Policy instance; a stateful ExecModel shared between
+// lanes sees their draws in lane order.
 type BatchRunner struct {
-	lanes   []lane
-	results []*Result
-	errs    []error
-
-	// timers and ready are the lane-strided heap storage: lane l's
-	// release timer queue and EDF/RM run queue.
-	timers sched.LaneHeaps
-	ready  sched.LaneHeaps
-
-	// sel is the cross-lane next-event selector: lanes keyed by their
-	// simulated clock, ties by lane index, so Peek is always the
-	// globally-earliest lane.
-	sel sched.ReadyQueue
-
-	// states and resTime are the lane-strided per-task state and
-	// per-point residency backing slices; each lane holds a sub-slice.
-	states  []taskState
-	resTime []float64
-
-	due      []int // scratch: timer-heap lanes' release drain
-	released []int // scratch: release events pending policy callbacks
-
-	fallback []*Runner           // scalar runners for fault/recorder lanes
-	seen     map[core.Policy]int // duplicate policy-instance detection
-
-	// mb is the multi-core expansion state of RunMulti (multibatch.go).
-	mb multiBatch
+	ln       lane      // the engine, reset for every lane
+	store    []Result  // per-lane result storage, retained across batches
+	results  []*Result // parallel output slices
+	errs     []error
+	fallback []*Runner // scalar runners for fault/recorder lanes
 }
 
 // NewBatchRunner returns an empty BatchRunner; buffers grow on first use.
@@ -103,11 +77,11 @@ func (b *BatchRunner) Run(cfgs []Config) ([]*Result, []error) {
 	return b.run(nil, cfgs)
 }
 
-// RunContext is Run with cooperative cancellation: the lockstep loop
-// polls ctx every cancelCheckInterval steps, and when the context ends
-// early every unfinished lane reports a *Canceled error carrying its
-// partial result, exactly like Runner.RunContext. Finished lanes keep
-// their completed results.
+// RunContext is Run with cooperative cancellation: each lane polls ctx
+// every cancelCheckInterval events, exactly like Runner.RunContext. Lanes
+// that finished before the context ended keep their results; the lane
+// it interrupts and every later lane report a *Canceled error carrying
+// their partial result.
 func (b *BatchRunner) RunContext(ctx context.Context, cfgs []Config) ([]*Result, []error) {
 	if ctx != nil && ctx.Done() == nil {
 		ctx = nil
@@ -115,18 +89,14 @@ func (b *BatchRunner) RunContext(ctx context.Context, cfgs []Config) ([]*Result,
 	return b.run(ctx, cfgs)
 }
 
-// lane is one simulation of a batch. Its event-loop methods are a
-// transcription of the scalar simulator's, specialized to the fault-free
-// no-recorder configuration; heavy per-lane state (task states, heaps,
-// residency) lives in the BatchRunner's lane-strided storage. lane
-// implements core.System and sched.TaskView for the policy callbacks.
+// lane is the batch engine. Its event-loop methods are a transcription
+// of the scalar simulator's, specialized to the fault-free no-recorder
+// configuration. lane implements core.System and sched.TaskView for the
+// policy callbacks.
 type lane struct {
-	b   *BatchRunner
-	idx int
-
 	cfg    Config
 	ts     *task.Set
-	states []taskState // view into BatchRunner.states
+	states []taskState
 	now    float64
 	kind   sched.Kind
 	res    Result
@@ -137,7 +107,15 @@ type lane struct {
 	hw      machine.OperatingPoint
 	hwIdx   int
 	sel     machine.PointSelector
-	resTime []float64 // view into BatchRunner.resTime
+	resTime []float64
+
+	// timers holds timer-heap lanes' pending releases and ready the
+	// EDF/RM run queue, both exactly as in the scalar simulator.
+	timers sched.ReadyQueue
+	ready  sched.ReadyQueue
+
+	due      []int // scratch: timer-heap lanes' release drain
+	released []int // scratch: release events pending policy callbacks
 
 	lastRun int
 	ctxErr  error
@@ -178,17 +156,6 @@ type lane struct {
 	// heap's. frame implies harmonic, so n ≤ 64 is already guaranteed.
 	frame     bool
 	readyBits uint64
-
-	// quantum is the span of simulated time the lane advances per
-	// selector turn. Turn granularity only shapes the interleaving of
-	// independent lanes — per-lane results are identical at any quantum —
-	// so it is chosen for locality: one turn covers enough consecutive
-	// events to keep the lane's working set hot, and the cross-lane
-	// selector is consulted once per turn instead of once per event.
-	quantum float64
-
-	fallback bool
-	done     bool
 }
 
 // --- core.System / sched.TaskView ---
@@ -209,161 +176,34 @@ func (ln *lane) Ready(i int) bool     { return ln.states[i].active }
 
 // --- batch orchestration ---
 
-// run validates and classifies every lane, executes fault/recorder lanes
-// on scalar Runners, and advances the remaining lanes in lockstep.
+// run executes the lanes in order: fault/recorder lanes on scalar
+// Runners, every other lane on the lane engine.
 func (b *BatchRunner) run(ctx context.Context, cfgs []Config) ([]*Result, []error) {
 	k := len(cfgs)
 	b.results = growZeroed(b.results, k)
 	b.errs = growZeroed(b.errs, k)
-	if k == 0 {
-		return b.results, b.errs
-	}
-	if cap(b.lanes) >= k {
-		b.lanes = b.lanes[:k]
+	if cap(b.store) >= k {
+		b.store = b.store[:k]
 	} else {
-		grown := make([]lane, k)
-		copy(grown, b.lanes)
-		b.lanes = grown
+		grown := make([]Result, k)
+		copy(grown, b.store[:cap(b.store)])
+		b.store = grown
 	}
-	if b.seen == nil {
-		b.seen = make(map[core.Policy]int, k)
-	} else {
-		clear(b.seen)
-	}
-
-	// Pass 1: validate each configuration (mirroring Runner.run), apply
-	// defaults, classify the lane, and size the shared storage.
-	maxN, maxSel := 1, 1
-	for l := range cfgs {
-		cfg, err := b.validateLane(l, cfgs[l])
+	nfall := 0
+	for l, cfg := range cfgs {
+		if cfg.Faults != nil || cfg.Recorder != nil {
+			b.results[l], b.errs[l] = b.fallbackRunner(nfall).RunContext(ctx, cfg)
+			nfall++
+			continue
+		}
+		cfg, err := prepare(cfg)
 		if err != nil {
 			b.errs[l] = err
-			b.lanes[l].done = true
 			continue
 		}
-		ln := &b.lanes[l]
-		ln.cfg = cfg
-		ln.done = false
-		ln.fallback = cfg.Faults != nil || cfg.Recorder != nil
-		if n := cfg.Tasks.Len(); n > maxN {
-			maxN = n
-		}
-		if pl := cfg.Machine.Selector().Len(); pl > maxSel {
-			maxSel = pl
-		}
-	}
-
-	b.states = growZeroed(b.states, k*maxN)
-	b.resTime = growZeroed(b.resTime, k*maxSel)
-	b.timers.Reset(k, maxN)
-	b.ready.Reset(k, maxN)
-	b.sel.Reset(k)
-
-	// Pass 2: wire fast lanes into the shared storage; run fallback
-	// lanes to completion on their scalar Runners.
-	nfall := 0
-	for l := range b.lanes {
-		ln := &b.lanes[l]
-		if ln.done {
-			continue
-		}
-		if ln.fallback {
-			r := b.fallbackRunner(nfall)
-			nfall++
-			b.results[l], b.errs[l] = r.RunContext(ctx, ln.cfg)
-			ln.done = true
-			continue
-		}
-		b.setupLane(l, maxN, maxSel)
-		if err := b.sel.Push(l, 0); err != nil {
-			panic(err) // lane indexes are unique by construction
-		}
-	}
-
-	// Lockstep at quantum granularity: each turn picks the globally
-	// earliest lane and advances it through one quantum of simulated
-	// time before re-keying it with its new clock (or retiring it once
-	// it crosses its horizon). Lanes are independent, so the selector
-	// only decides interleaving — per-lane results are bit-identical at
-	// any turn size — and the coarser turns keep each lane's working
-	// set cache-resident across a run of consecutive events instead of
-	// thrashing K lanes through the selector per event.
-	tick := 0
-turns:
-	for b.sel.Len() > 0 {
-		l := b.sel.Peek()
-		ln := &b.lanes[l]
-		limit := ln.now + ln.quantum
-		for {
-			if ctx != nil {
-				if tick--; tick <= 0 {
-					tick = cancelCheckInterval
-					if err := ctx.Err(); err != nil {
-						break turns
-					}
-				}
-			}
-			if !ln.step() {
-				b.sel.Pop()
-				b.results[l], b.errs[l] = ln.finish()
-				ln.done = true
-				continue turns
-			}
-			if ln.now >= limit {
-				b.sel.Update(l, ln.now)
-				continue turns
-			}
-		}
-	}
-	// Context ended: every lane still in the selector stops where it is
-	// and reports a partial result, like a cancelled scalar run.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			//rtdvs:ignore ctxpoll post-cancellation drain: no lane steps again, one finish per remaining lane
-			for b.sel.Len() > 0 {
-				l := b.sel.Pop()
-				ln := &b.lanes[l]
-				ln.ctxErr = err
-				b.results[l], b.errs[l] = ln.finish()
-				ln.done = true
-			}
-		}
+		b.results[l], b.errs[l] = b.ln.run(ctx, cfg, &b.store[l])
 	}
 	return b.results, b.errs
-}
-
-// validateLane mirrors the scalar Runner's configuration validation and
-// defaulting, plus the batch-specific requirement that no two lanes
-// share a Policy instance (lanes interleave; Attach-time reset cannot
-// protect concurrent lanes the way it protects sequential runs).
-func (b *BatchRunner) validateLane(l int, cfg Config) (Config, error) {
-	if cfg.Tasks == nil || cfg.Tasks.Len() == 0 {
-		return cfg, task.ErrEmptySet
-	}
-	if cfg.Machine == nil {
-		return cfg, fmt.Errorf("sim: nil machine spec")
-	}
-	if err := cfg.Machine.Validate(); err != nil {
-		return cfg, err
-	}
-	if cfg.Policy == nil {
-		return cfg, fmt.Errorf("sim: nil policy")
-	}
-	if prev, dup := b.seen[cfg.Policy]; dup {
-		return cfg, fmt.Errorf("sim: batch lanes %d and %d share a Policy instance; every lane needs its own", prev, l)
-	}
-	b.seen[cfg.Policy] = l
-	if cfg.Exec == nil {
-		cfg.Exec = task.FullWCET{}
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 20 * cfg.Tasks.MaxPeriod()
-	}
-	wireDistributions(cfg.Policy, cfg.Exec)
-	if err := cfg.Policy.Attach(cfg.Tasks, cfg.Machine); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
 }
 
 // fallbackRunner returns the i-th scalar Runner of the fallback pool,
@@ -376,25 +216,48 @@ func (b *BatchRunner) fallbackRunner(i int) *Runner {
 	return b.fallback[i]
 }
 
-// setupLane initializes a fast lane exactly the way Runner.run
-// initializes the scalar simulator, then picks the release mechanism.
-func (b *BatchRunner) setupLane(l, maxN, maxSel int) {
-	ln := &b.lanes[l]
-	cfg := ln.cfg
+// run executes one prepared configuration to its horizon, polling ctx
+// the way the scalar run loop does, and leaves the result in out, whose
+// buffers the run reuses.
+//
+//rtdvs:hotpath
+func (ln *lane) run(ctx context.Context, cfg Config, out *Result) (*Result, error) {
+	ln.setup(cfg, out)
+	tick := 0 // poll before the first event: an expired ctx does no work
+	for fpx.Lt(ln.now, ln.cfg.Horizon) {
+		if ctx != nil {
+			if tick--; tick <= 0 {
+				tick = cancelCheckInterval
+				if err := ctx.Err(); err != nil {
+					ln.ctxErr = err
+					break
+				}
+			}
+		}
+		ln.step()
+	}
+	return ln.finish(out)
+}
+
+// setup initializes the lane exactly the way Runner.run initializes the
+// scalar simulator, borrowing out's result buffers, then picks the
+// release mechanism.
+func (ln *lane) setup(cfg Config, out *Result) {
 	n := cfg.Tasks.Len()
-	ln.b = b
-	ln.idx = l
+	ln.cfg = cfg
 	ln.ts = cfg.Tasks
 	ln.now = 0
 	ln.kind = cfg.Policy.Scheduler()
 	ln.sel = cfg.Machine.Selector()
-	ln.states = b.states[l*maxN : l*maxN+n]
-	ln.resTime = b.resTime[l*maxSel : l*maxSel+ln.sel.Len()]
+	ln.states = growZeroed(ln.states, n)
+	ln.resTime = growZeroed(ln.resTime, ln.sel.Len())
+	ln.timers.Reset(n)
+	ln.ready.Reset(n)
 	ln.lastRun = -1
 	ln.ctxErr = nil
 	ln.cacheValid = false
 
-	prt := ln.res.PointResTime
+	prt := out.PointResTime
 	if prt == nil {
 		prt = make(map[machine.OperatingPoint]float64, ln.sel.Len())
 	} else {
@@ -404,8 +267,8 @@ func (b *BatchRunner) setupLane(l, maxN, maxSel int) {
 		Policy:       cfg.Policy.Name(),
 		Horizon:      cfg.Horizon,
 		Guaranteed:   cfg.Policy.Guaranteed(),
-		Misses:       ln.res.Misses[:0],
-		PerTask:      growZeroed(ln.res.PerTask, n),
+		Misses:       out.Misses[:0],
+		PerTask:      growZeroed(out.PerTask, n),
 		PointResTime: prt,
 	}
 
@@ -413,7 +276,6 @@ func (b *BatchRunner) setupLane(l, maxN, maxSel int) {
 	t0 := cfg.Tasks.Task(0)
 	ln.frame = ln.harmonic
 	ln.readyBits = 0
-	maxPeriod := 0.0
 	for i := range ln.states {
 		t := cfg.Tasks.Task(i)
 		ln.states[i] = taskState{nextRelease: t.Phase, nominalRel: t.Phase, deadline: t.Phase}
@@ -424,16 +286,6 @@ func (b *BatchRunner) setupLane(l, maxN, maxSel int) {
 		if t.Period != t0.Period || t.Phase != t0.Phase {
 			ln.frame = false
 		}
-		if t.Period > maxPeriod {
-			maxPeriod = t.Period
-		}
-	}
-	ln.quantum = maxPeriod
-	if ln.harmonic && ln.hyper > ln.quantum {
-		ln.quantum = ln.hyper
-	}
-	if q := cfg.Horizon / 32; q > ln.quantum {
-		ln.quantum = q
 	}
 
 	if cfg.CheckInvariants || testing.Testing() {
@@ -540,7 +392,7 @@ func (ln *lane) buildReleaseTable() bool {
 //
 //rtdvs:hotpath
 func (ln *lane) timerAdd(i int, at float64) {
-	if err := ln.b.timers.Push(ln.idx, i, at); err != nil {
+	if err := ln.timers.Push(i, at); err != nil {
 		panic(err)
 	}
 }
@@ -565,7 +417,7 @@ func (ln *lane) readyAdd(i int) {
 		ln.readyBits |= 1 << uint(i)
 		return
 	}
-	if err := ln.b.ready.Push(ln.idx, i, ln.readyKey(i)); err != nil {
+	if err := ln.ready.Push(i, ln.readyKey(i)); err != nil {
 		panic(err)
 	}
 }
@@ -582,7 +434,7 @@ func (ln *lane) readyPeek() int {
 		}
 		return bits.TrailingZeros64(ln.readyBits)
 	}
-	return ln.b.ready.Peek(ln.idx)
+	return ln.ready.Peek()
 }
 
 // readyRemove drops a completed or deadline-missed task from the ready
@@ -594,7 +446,7 @@ func (ln *lane) readyRemove(i int) {
 		ln.readyBits &^= 1 << uint(i)
 		return
 	}
-	ln.b.ready.Remove(ln.idx, i)
+	ln.ready.Remove(i)
 }
 
 // nextReleaseTime returns the lane's earliest pending release: the
@@ -605,7 +457,7 @@ func (ln *lane) nextReleaseTime() float64 {
 	if ln.harmonic {
 		return ln.tabNext
 	}
-	return ln.b.timers.PeekKey(ln.idx)
+	return ln.timers.PeekKey()
 }
 
 // selIndex returns op's machine-table index through the lane's one-entry
@@ -666,33 +518,32 @@ func (ln *lane) fireReleases(i int) {
 		ln.res.Releases++
 		ln.res.PerTask[i].Releases++
 		ln.readyAdd(i)
-		ln.b.released = append(ln.b.released, i)
+		ln.released = append(ln.released, i)
 	}
 }
 
-// processReleasesHeap is the scalar processReleases on the lane's slice
-// of the lane-strided timer heap.
+// processReleasesHeap is the scalar processReleases minus the fault
+// hooks.
 //
 //rtdvs:hotpath
 func (ln *lane) processReleasesHeap() {
-	b := ln.b
-	if !fpx.Le(b.timers.PeekKey(ln.idx), ln.now) {
+	if !fpx.Le(ln.timers.PeekKey(), ln.now) {
 		return
 	}
-	b.due = b.due[:0]
-	for fpx.Le(b.timers.PeekKey(ln.idx), ln.now) {
-		b.due = append(b.due, b.timers.Pop(ln.idx))
+	ln.due = ln.due[:0]
+	for fpx.Le(ln.timers.PeekKey(), ln.now) {
+		ln.due = append(ln.due, ln.timers.Pop())
 	}
-	sortIndexes(b.due)
-	b.released = b.released[:0]
-	for _, i := range b.due {
+	sortIndexes(ln.due)
+	ln.released = ln.released[:0]
+	for _, i := range ln.due {
 		ln.fireReleases(i)
 		ln.timerAdd(i, ln.states[i].nextRelease)
 	}
-	for _, i := range b.released {
+	for _, i := range ln.released {
 		ln.cfg.Policy.OnRelease(ln, i)
 	}
-	if len(b.released) > 0 {
+	if len(ln.released) > 0 {
 		ln.inv.checkUtilization()
 	}
 }
@@ -719,17 +570,16 @@ func (ln *lane) processReleasesTable() {
 		}
 		ln.tabNext = ln.epochBase + ln.slotTime[ln.cursor]
 	}
-	b := ln.b
-	b.released = b.released[:0]
+	ln.released = ln.released[:0]
 	for due != 0 {
 		i := bits.TrailingZeros64(due)
 		due &= due - 1
 		ln.fireReleases(i)
 	}
-	for _, i := range b.released {
+	for _, i := range ln.released {
 		ln.cfg.Policy.OnRelease(ln, i)
 	}
-	if len(b.released) > 0 {
+	if len(ln.released) > 0 {
 		ln.inv.checkUtilization()
 	}
 }
@@ -775,16 +625,13 @@ func (ln *lane) record(start, end float64, op machine.OperatingPoint, opIdx int)
 }
 
 // step advances the lane by one event-loop iteration — the body of the
-// scalar run loop, transcribed with the fault branches and context polls
-// removed and math.Min/Max replaced by branches (exact for the
-// non-negative finite operands involved). It reports false once the
-// lane has crossed its horizon.
+// scalar run loop, transcribed with the fault branches removed and
+// math.Min/Max replaced by branches (exact for the non-negative finite
+// operands involved). run calls it only while the lane's clock is short
+// of the horizon.
 //
 //rtdvs:hotpath
-func (ln *lane) step() bool {
-	if !fpx.Lt(ln.now, ln.cfg.Horizon) {
-		return false
-	}
+func (ln *lane) step() {
 	ln.res.Events++
 	if ln.harmonic {
 		ln.processReleasesTable()
@@ -818,18 +665,18 @@ func (ln *lane) step() bool {
 		} else {
 			ln.now = nextRel
 		}
-		return true
+		return
 	}
 
 	op := ln.cfg.Policy.Point()
 	ln.switchTo(op)
 	if fpx.Ge(ln.now, ln.cfg.Horizon) {
-		return false
+		return
 	}
 	if fpx.Le(ln.nextReleaseTime(), ln.now) {
 		// A release became due during the stop interval; process it
 		// (and let the policy react) before execution resumes.
-		return true
+		return
 	}
 	nextRel = ln.nextReleaseTime()
 	if ln.cfg.Horizon < nextRel {
@@ -876,30 +723,31 @@ func (ln *lane) step() bool {
 		ln.cfg.Policy.OnCompletion(ln, pick, st.used)
 		ln.inv.checkUtilization()
 	}
-	return true
 }
 
 // finish closes out a lane the way Runner.run closes out a scalar run:
 // final energy total and check, invariant verdict, residency fold,
-// cancellation, then metrics observation on success.
-func (ln *lane) finish() (*Result, error) {
+// cancellation, then metrics observation on success. The result goes
+// back into out, which keeps any buffer the run regrew.
+func (ln *lane) finish(out *Result) (*Result, error) {
 	ln.res.TotalEnergy = ln.res.ExecEnergy + ln.res.IdleEnergy
 	ln.inv.checkEnergy()
+	*out = ln.res
 	if err := ln.inv.Err(); err != nil {
 		return nil, err
 	}
 	for i, d := range ln.resTime {
 		if d > 0 {
-			ln.res.PointResTime[ln.cfg.Machine.Points[i]] += d
+			out.PointResTime[ln.cfg.Machine.Points[i]] += d
 		}
 	}
 	if ln.ctxErr != nil {
-		return nil, &Canceled{At: ln.now, Partial: &ln.res, Cause: ln.ctxErr}
+		return nil, &Canceled{At: ln.now, Partial: out, Cause: ln.ctxErr}
 	}
 	if ln.cfg.Metrics != nil {
-		ln.cfg.Metrics.observe(&ln.res, ln.resTime, ln.cfg.Machine)
+		ln.cfg.Metrics.observe(out, ln.resTime, ln.cfg.Machine)
 	}
-	return &ln.res, nil
+	return out, nil
 }
 
 // laneInvariant is the batch counterpart of invariantChecker: identical

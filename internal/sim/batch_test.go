@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -153,26 +154,24 @@ func TestBatchHarmonicLanesUseReleaseTable(t *testing.T) {
 		},
 	}
 	br := NewBatchRunner()
-	_, errs := br.Run(cfgs)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("lane %d: %v", i, err)
+	for i, want := range []bool{true, false} {
+		if _, errs := br.Run(cfgs[i : i+1]); errs[0] != nil {
+			t.Fatalf("lane %d: %v", i, errs[0])
 		}
-	}
-	if !br.lanes[0].harmonic {
-		t.Error("integral harmonic lane did not engage the release table")
-	}
-	if br.lanes[1].harmonic {
-		t.Error("non-integral lane engaged the release table")
+		if br.ln.harmonic != want {
+			t.Errorf("lane %d: release table path = %v, want %v", i, br.ln.harmonic, want)
+		}
 	}
 }
 
 // runLanes runs ts for the horizon under every paper policy, one lane
 // each, on a fresh BatchRunner. Every lane must match a scalar Runner on
-// the same configuration exactly, and every lane that ran must take the
-// release table path exactly when table is set. Each run draws
-// execution times from its own uniform model seeded with seed. The
-// runner is returned so callers can inspect the lanes' tables.
+// the same configuration exactly, and the lanes must take the release
+// table path exactly when table is set (the table depends only on the
+// set and the horizon, so the engine's state after the last lane speaks
+// for all of them). Each run draws execution times from its own uniform
+// model seeded with seed. The runner is returned so callers can inspect
+// the table.
 func runLanes(t *testing.T, label string, ts *task.Set, horizon float64, seed int64, table bool) *BatchRunner {
 	t.Helper()
 	mk := func(pname string) Config {
@@ -190,10 +189,10 @@ func runLanes(t *testing.T, label string, ts *task.Set, horizon float64, seed in
 	}
 	br := NewBatchRunner()
 	results, errs := br.Run(cfgs)
+	if br.ln.harmonic != table {
+		t.Errorf("%s: release table path = %v, want %v", label, br.ln.harmonic, table)
+	}
 	for i, pname := range names {
-		if errs[i] == nil && br.lanes[i].harmonic != table {
-			t.Errorf("%s %s: release table path = %v, want %v", label, pname, br.lanes[i].harmonic, table)
-		}
 		want, wantErr := Run(mk(pname))
 		requireSameAsScalar(t, label+" "+pname, results[i], errs[i], want, wantErr)
 	}
@@ -221,19 +220,16 @@ func TestReleaseTableHorizonBound(t *testing.T) {
 		{"horizon=H", 360, 46, true},
 		{"horizon>>H", 5000, 46, true},
 	} {
-		br := runLanes(t, c.name, ts, c.horizon, 3, true)
-		for l := range br.lanes {
-			ln := &br.lanes[l]
-			if len(ln.slotTime) != c.slots {
-				t.Errorf("%s lane %d: %d slots, want %d", c.name, l, len(ln.slotTime), c.slots)
-			}
-			if wrapped := ln.epochBase > 0; wrapped != c.wraps {
-				t.Errorf("%s lane %d: wrapped = %v, want %v", c.name, l, wrapped, c.wraps)
-			}
-			if !c.wraps && !(ln.slotTime[len(ln.slotTime)-1] > c.horizon+1) {
-				t.Errorf("%s lane %d: truncated table ends at %g, not past the horizon",
-					c.name, l, ln.slotTime[len(ln.slotTime)-1])
-			}
+		ln := &runLanes(t, c.name, ts, c.horizon, 3, true).ln
+		if len(ln.slotTime) != c.slots {
+			t.Errorf("%s: %d slots, want %d", c.name, len(ln.slotTime), c.slots)
+		}
+		if wrapped := ln.epochBase > 0; wrapped != c.wraps {
+			t.Errorf("%s: wrapped = %v, want %v", c.name, wrapped, c.wraps)
+		}
+		if !c.wraps && !(ln.slotTime[len(ln.slotTime)-1] > c.horizon+1) {
+			t.Errorf("%s: truncated table ends at %g, not past the horizon",
+				c.name, ln.slotTime[len(ln.slotTime)-1])
 		}
 	}
 }
@@ -288,8 +284,7 @@ func TestReleaseTableMatchesScalar(t *testing.T) {
 		ts := harmonicSet(t, c.tasks...)
 		for _, h := range c.horizons {
 			label := fmt.Sprintf("%s horizon %v", c.name, h)
-			br := runLanes(t, label, ts, h, 5, true)
-			ln := &br.lanes[0]
+			ln := &runLanes(t, label, ts, h, 5, true).ln
 			for j, at := range ln.slotTime {
 				if w, ok := c.slots[at]; ok && ln.slotBits[j] != w {
 					t.Errorf("%s: slot at %g releases tasks %b, want %b", label, at, ln.slotBits[j], w)
@@ -309,7 +304,7 @@ func TestReleaseTableCapAppliesToBuiltSlots(t *testing.T) {
 		task.Task{Period: 103, WCET: 20},
 	) // hyperperiod 1009091: about 30000 release instants
 	br := runLanes(t, "primes", ts, 20*103, 8, true)
-	if n := len(br.lanes[0].slotTime); n > 100 {
+	if n := len(br.ln.slotTime); n > 100 {
 		t.Errorf("horizon-bounded table has %d slots, want about 60", n)
 	}
 
@@ -319,7 +314,7 @@ func TestReleaseTableCapAppliesToBuiltSlots(t *testing.T) {
 	if _, errs := br.Run([]Config{long}); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
-	if br.lanes[0].harmonic {
+	if br.ln.harmonic {
 		t.Error("a table past batchMaxSlots was built")
 	}
 }
@@ -392,8 +387,8 @@ func TestBatchOfOneEqualsScalar(t *testing.T) {
 }
 
 // Metamorphic: permuting the lane order must leave every per-lane
-// result bit-identical — lanes are independent, so the lockstep
-// interleaving order cannot matter.
+// result bit-identical — lanes are independent, so the order the engine
+// runs them in cannot matter.
 func TestBatchLanePermutationInvariant(t *testing.T) {
 	mks := batchTestConfigs(t)
 	n := len(mks)
@@ -480,27 +475,142 @@ func TestBatchMixedFallbackLanes(t *testing.T) {
 	}
 }
 
-// Sharing one Policy instance between two lanes must be rejected: the
-// lanes interleave, so the shared state would corrupt both.
-func TestBatchRejectsSharedPolicyInstance(t *testing.T) {
-	p, err := core.ByName("ccEDF")
-	if err != nil {
-		t.Fatal(err)
+// Lanes run back to back and Attach resets a policy, so one Policy
+// instance may serve every lane of a batch: frame, release-table and
+// timer-heap lanes and a fault fallback lane alike. Each of the six
+// paper policies takes its turn as the shared instance, and every lane
+// must equal a scalar run with a fresh instance.
+func TestBatchSharedPolicyInstance(t *testing.T) {
+	gen := func(seed int64, n int, u float64) *task.Set {
+		s, err := (&task.Generator{N: n, Utilization: u, Rand: rand.New(rand.NewSource(seed))}).Generate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	ts := harmonicSet(t, task.Task{Period: 10, WCET: 2})
-	cfgs := []Config{
-		{Tasks: ts, Machine: machine.Machine0(), Policy: p, Horizon: 50},
-		{Tasks: ts, Machine: machine.Machine0(), Policy: p, Horizon: 50},
+	uniform := func(seed int64) task.ExecModel {
+		return task.UniformFraction{Lo: 0.2, Hi: 1, Rand: rand.New(rand.NewSource(seed))}
 	}
-	results, errs := RunBatch(cfgs)
-	if errs[0] != nil {
-		t.Errorf("first lane with the instance should run: %v", errs[0])
+	shapes := []func(p core.Policy) Config{
+		func(p core.Policy) Config { // frame-based: one shared period
+			return Config{Tasks: harmonicSet(t,
+				task.Task{Period: 20, WCET: 4},
+				task.Task{Period: 20, WCET: 3},
+				task.Task{Period: 20, WCET: 5},
+			), Machine: machine.Machine1(), Policy: p, Exec: task.ConstantFraction{C: 0.7}, Horizon: 500}
+		},
+		func(p core.Policy) Config { // generated: timer heap
+			return Config{Tasks: gen(3, 6, 0.7), Machine: machine.Machine0(), Policy: p, Exec: uniform(4), Horizon: 900}
+		},
+		func(p core.Policy) Config { // nested harmonic periods with phases: release table
+			return Config{Tasks: harmonicSet(t,
+				task.Task{Period: 10, WCET: 2, Phase: 3},
+				task.Task{Period: 20, WCET: 4},
+				task.Task{Period: 40, WCET: 9, Phase: 7},
+			), Machine: machine.Machine2(), Policy: p, Exec: uniform(5), Horizon: 777.5}
+		},
+		func(p core.Policy) Config { // fault injection: scalar fallback
+			return Config{Tasks: harmonicSet(t,
+				task.Task{Period: 10, WCET: 3},
+				task.Task{Period: 20, WCET: 5},
+			), Machine: machine.Machine0(), Policy: p, Horizon: 200,
+				Faults: fault.MustNew(fault.Plan{Seed: 11, OverrunProb: 0.3, OverrunFactor: 1.5})}
+		},
+		func(p core.Policy) Config { // generated, heavier, after the fallback lane
+			return Config{Tasks: gen(8, 8, 0.9), Machine: machine.Machine1(), Policy: p, Exec: uniform(6), Horizon: 600}
+		},
 	}
-	if results[0] == nil {
-		t.Error("first lane returned no result")
+	br := NewBatchRunner()
+	for _, pname := range core.Names() {
+		shared := mustPolicy(t, pname)
+		cfgs := make([]Config, len(shapes))
+		for i, mk := range shapes {
+			cfgs[i] = mk(shared)
+		}
+		results, errs := br.Run(cfgs)
+		for i, mk := range shapes {
+			want, wantErr := Run(mk(mustPolicy(t, pname)))
+			requireSameAsScalar(t, fmt.Sprintf("%s lane %d", pname, i), results[i], errs[i], want, wantErr)
+		}
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("%s lane %d: %v", pname, i, err)
+			}
+		}
+		if errs[3] == nil && results[3].Faults == nil {
+			t.Errorf("%s: fault lane did not run on the scalar fallback", pname)
+		}
 	}
-	if errs[1] == nil {
-		t.Error("second lane sharing the Policy instance should be rejected")
+}
+
+// cancelOnAttach cancels a context when its lane is attached: a
+// deterministic point between one lane and the next.
+type cancelOnAttach struct {
+	core.Policy
+	cancel context.CancelFunc
+}
+
+func (c cancelOnAttach) Attach(ts *task.Set, m *machine.Spec) error {
+	c.cancel()
+	return c.Policy.Attach(ts, m)
+}
+
+// A context that ends mid-batch stops the lane it interrupts and every
+// later one: lanes before it keep their scalar results, and the rest
+// report *Canceled with a partial result, the fault fallback lane
+// included.
+func TestBatchRunContextCancelMidBatch(t *testing.T) {
+	mks := []func() Config{
+		func() Config {
+			return Config{Tasks: harmonicSet(t, task.Task{Period: 10, WCET: 2}, task.Task{Period: 20, WCET: 4}),
+				Machine: machine.Machine0(), Policy: mustPolicy(t, "ccEDF"), Horizon: 300}
+		},
+		func() Config {
+			ts, err := (&task.Generator{N: 5, Utilization: 0.6, Rand: rand.New(rand.NewSource(2))}).Generate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return Config{Tasks: ts, Machine: machine.Machine1(), Policy: mustPolicy(t, "laEDF"),
+				Exec: task.ConstantFraction{C: 0.8}, Horizon: 500}
+		},
+		func() Config {
+			return Config{Tasks: harmonicSet(t, task.Task{Period: 10, WCET: 3}, task.Task{Period: 20, WCET: 5}),
+				Machine: machine.Machine0(), Policy: mustPolicy(t, "ccEDF"), Horizon: 200,
+				Faults: fault.MustNew(fault.Plan{Seed: 11, OverrunProb: 0.3, OverrunFactor: 1.5})}
+		},
+		func() Config {
+			return Config{Tasks: harmonicSet(t, task.Task{Period: 20, WCET: 4}, task.Task{Period: 20, WCET: 5}),
+				Machine: machine.Machine2(), Policy: mustPolicy(t, "staticRM"), Horizon: 400}
+		},
+	}
+	br := NewBatchRunner()
+	for k := range mks {
+		ctx, cancel := context.WithCancel(context.Background())
+		cfgs := make([]Config, len(mks))
+		for i, mk := range mks {
+			cfgs[i] = mk()
+		}
+		cfgs[k].Policy = cancelOnAttach{Policy: cfgs[k].Policy, cancel: cancel}
+		results, errs := br.RunContext(ctx, cfgs)
+		for i, mk := range mks {
+			label := fmt.Sprintf("cancel at lane %d: lane %d", k, i)
+			if i < k {
+				want, wantErr := Run(mk())
+				requireSameAsScalar(t, label, results[i], errs[i], want, wantErr)
+				continue
+			}
+			if results[i] != nil {
+				t.Errorf("%s: result non-nil after cancellation", label)
+			}
+			var c *Canceled
+			if !errors.As(errs[i], &c) || !errors.Is(errs[i], context.Canceled) {
+				t.Fatalf("%s: got %T (%v), want *Canceled wrapping context.Canceled", label, errs[i], errs[i])
+			}
+			if c.Partial == nil || c.At != 0 || c.Partial.Events != 0 {
+				t.Errorf("%s: want an empty partial result at t=0, got At=%g partial=%+v", label, c.At, c.Partial)
+			}
+		}
+		cancel()
 	}
 }
 
@@ -531,8 +641,9 @@ func TestBatchPerLaneErrors(t *testing.T) {
 	}
 }
 
-// A cancelled batch must report *Canceled (with a partial result) for
-// every unfinished lane, mirroring the scalar RunContext contract.
+// A batch under an already-cancelled context must report *Canceled
+// (with a partial result) for every lane, mirroring the scalar
+// RunContext contract.
 func TestBatchRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired: no lane can make progress

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,6 +11,7 @@ import (
 	"rtdvs/internal/fpx"
 	"rtdvs/internal/machine"
 	"rtdvs/internal/obs"
+	"rtdvs/internal/sched"
 	"rtdvs/internal/task"
 )
 
@@ -171,5 +175,94 @@ func TestPreemptionCounting(t *testing.T) {
 	}
 	if res.Events <= 0 {
 		t.Error("events counter never advanced")
+	}
+}
+
+// TestMultiMetricsMatchResults folds a partitioned run with unloaded
+// cores and a global run through one reused MultiRunner under a live
+// context: the counters must equal the two results' own fields, with
+// per-core stats past the registered core count folded into the last
+// core. A cancelled run afterwards reports a *MultiCanceled and adds
+// nothing.
+func TestMultiMetricsMatchResults(t *testing.T) {
+	ts, err := task.NewSet(
+		task.Task{Period: 8, WCET: 3},
+		task.Task{Period: 12, WCET: 3},
+		task.Task{Period: 20, WCET: 4},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	m := NewMultiMetrics(reg, 2)
+	cfgs := []MultiConfig{
+		{Tasks: ts, Machine: machine.Machine1().WithCores(4), Policy: "ccEDF",
+			Placement: sched.PartitionedFF, Exec: "c=0.7", Horizon: 400, Metrics: m},
+		{Tasks: ts, Machine: machine.Machine1().WithCores(2), Policy: "gangCCEDF",
+			Placement: sched.Global, Exec: "uniform", Seed: 3, Horizon: 400, Metrics: m},
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mr := NewMultiRunner()
+	var results []*MultiResult
+	for _, cfg := range cfgs {
+		res, err := mr.RunContext(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Clone()
+		if !reflect.DeepEqual(c, res) {
+			t.Errorf("%s: clone differs from the result", c.Placement)
+		}
+		if got, want := c.AvgPower(), c.TotalEnergy/c.Horizon; got != want {
+			t.Errorf("%s: AvgPower = %v, want %v", c.Placement, got, want)
+		}
+		results = append(results, c)
+	}
+	if empty := results[0].PerCore[3]; len(empty.Tasks) != 0 || empty.IdleTime != 400 {
+		t.Errorf("unloaded core 3 = %+v, want idle for the whole horizon", empty)
+	}
+
+	cancel()
+	_, err = mr.RunContext(ctx, cfgs[1])
+	var mc *MultiCanceled
+	if !errors.As(err, &mc) || !strings.Contains(mc.Error(), "cancelled at t=0") {
+		t.Fatalf("cancelled global run: %v, want *MultiCanceled at t=0", err)
+	}
+
+	var migrations, misses, preemptions, switches float64
+	var busy, exec, idle [2]float64
+	for _, res := range results {
+		migrations += float64(res.Migrations)
+		misses += float64(len(res.Misses))
+		preemptions += float64(res.Preemptions)
+		switches += float64(res.Switches)
+		for c, pc := range res.PerCore {
+			k := min(c, 1)
+			busy[k] += pc.BusyTime
+			exec[k] += pc.ExecEnergy
+			idle[k] += pc.IdleEnergy
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"partitioned-ff runs", m.runs[0].Value(), 1},
+		{"global runs", m.runs[2].Value(), 1},
+		{"migrations", m.migrations.Value(), migrations},
+		{"misses", m.misses.Value(), misses},
+		{"preemptions", m.preemptions.Value(), preemptions},
+		{"switches", m.switches.Value(), switches},
+		{"busy core 0", m.busyTime[0].Value(), busy[0]},
+		{"busy core 1+", m.busyTime[1].Value(), busy[1]},
+		{"exec core 0", m.execEnergy[0].Value(), exec[0]},
+		{"exec core 1+", m.execEnergy[1].Value(), exec[1]},
+		{"idle core 0", m.idleEnergy[0].Value(), idle[0]},
+		{"idle core 1+", m.idleEnergy[1].Value(), idle[1]},
+	} {
+		if fpx.Ne(c.got, c.want) {
+			t.Errorf("%s counter = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }

@@ -140,45 +140,3 @@ func TestMultiCorePartitionDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestMultiCoreBatchMatchesSingle pins the lockstep batch engine
-// against the one-at-a-time runner at m > 1: the same MultiConfig must
-// produce DeepEqual results on both, for partitioned and global
-// placements.
-func TestMultiCoreBatchMatchesSingle(t *testing.T) {
-	var cfgs []MultiConfig
-	for _, m := range []int{2, 4} {
-		for seed := int64(1); seed <= 3; seed++ {
-			g := task.Generator{N: 3 * m, Utilization: 0.55 * float64(m), Rand: rand.New(rand.NewSource(seed))}
-			ts, err := g.Generate()
-			if err != nil {
-				t.Fatal(err)
-			}
-			horizon := min(10*ts.MaxPeriod(), 1200)
-			cfgs = append(cfgs, MultiConfig{
-				Tasks: ts, Machine: machine.Machine0().WithCores(m),
-				Policy: "laEDF", Placement: sched.PartitionedFF,
-				Exec: "uniform", Seed: seed, Horizon: horizon,
-			})
-			cfgs = append(cfgs, MultiConfig{
-				Tasks: ts, Machine: machine.Machine0().WithCores(m),
-				Policy: "gangCCEDF", Placement: sched.Global,
-				Exec: "c=0.8", Seed: seed, Horizon: horizon,
-			})
-		}
-	}
-	batch, errs := NewBatchRunner().RunMulti(cfgs)
-	for i, cfg := range cfgs {
-		if errs[i] != nil {
-			t.Fatalf("lane %d (%s/%v): %v", i, cfg.Policy, cfg.Placement, errs[i])
-		}
-		single, err := RunMulti(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(batch[i], single) {
-			t.Errorf("lane %d (%s/%v, cores=%d): batch result diverges from single-run",
-				i, cfg.Policy, cfg.Placement, cfg.Machine.NumCores())
-		}
-	}
-}

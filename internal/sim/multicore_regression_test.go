@@ -16,8 +16,8 @@ import (
 
 // The m = 1 regression suite pins the multiprocessor generalization to
 // the uniprocessor engine it grew out of: on a single-core machine the
-// multi-core Runner and BatchRunner must reproduce the scalar engine's
-// results bit for bit — same energies, same event counts, same misses,
+// multi-core Runner must reproduce the scalar engine's results bit for
+// bit — same energies, same event counts, same misses,
 // same traces — for every registered policy, on the success path and on
 // the error and cancellation paths alike. The scalar results are
 // themselves pinned by the paper's golden traces (golden_trace_test.go)
@@ -150,36 +150,6 @@ func TestMultiCoreM1BitIdentical(t *testing.T) {
 	}
 }
 
-// TestMultiCoreM1BatchBitIdentical runs the same pin through the
-// lockstep BatchRunner: every lane of a mixed-policy multi-core batch
-// at m = 1 must match the scalar engine.
-func TestMultiCoreM1BatchBitIdentical(t *testing.T) {
-	ts := regressionSet(t, 7)
-	policies := regressionPolicies()
-	cfgs := make([]MultiConfig, len(policies))
-	for i, p := range policies {
-		cfgs[i] = MultiConfig{
-			Tasks:   ts,
-			Machine: machine.Machine0().WithCores(1),
-			Policy:  p,
-			Exec:    "uniform",
-			Seed:    5,
-			Horizon: 700,
-		}
-	}
-	var br BatchRunner
-	results, errs := br.RunMulti(cfgs)
-	for i, p := range policies {
-		if errs[i] != nil {
-			t.Fatalf("%s: %v", p, errs[i])
-		}
-		want := scalarTotals(scalarRun(t, ts, p, "uniform", 5, 700))
-		if got := multiTotals(results[i]); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: batch m=1 lane diverges from scalar\ngot  %+v\nwant %+v", p, got, want)
-		}
-	}
-}
-
 // TestMultiCoreM1TraceIdentical pins the m = 1 execution trace — the
 // exact segment sequence, operating points included — against the
 // scalar recorder on the paper's worked example, for the four policies
@@ -240,11 +210,6 @@ func TestMultiCoreM1Errors(t *testing.T) {
 		if _, err := RunMulti(tc.cfg); err == nil {
 			t.Errorf("%s: RunMulti accepted the config", tc.name)
 		}
-		var br BatchRunner
-		_, errs := br.RunMulti([]MultiConfig{tc.cfg})
-		if errs[0] == nil {
-			t.Errorf("%s: BatchRunner.RunMulti accepted the config", tc.name)
-		}
 	}
 	if _, err := RunMulti(MultiConfig{Tasks: &task.Set{}, Machine: machine.Machine0(), Policy: "ccEDF"}); !errors.Is(err, task.ErrEmptySet) {
 		t.Errorf("empty set error = %v, want task.ErrEmptySet", err)
@@ -253,7 +218,7 @@ func TestMultiCoreM1Errors(t *testing.T) {
 
 // TestMultiCoreM1Cancellation pins the cancellation path: a cancelled
 // m = 1 run must stop where the scalar engine stops and fold the same
-// partial totals, on both the MultiRunner and the batch engine.
+// partial totals, on a fresh and on a reused MultiRunner.
 func TestMultiCoreM1Cancellation(t *testing.T) {
 	ts := regressionSet(t, 19)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -286,17 +251,22 @@ func TestMultiCoreM1Cancellation(t *testing.T) {
 		t.Errorf("partial results diverge\ngot  %+v\nwant %+v", got, want)
 	}
 
-	var br BatchRunner
-	_, errs := br.RunMultiContext(ctx, []MultiConfig{mcfg})
-	var bcanc *MultiCanceled
-	if !errors.As(errs[0], &bcanc) {
-		t.Fatalf("batch multi run: %v, want MultiCanceled", errs[0])
+	// A reused MultiRunner folds the same partial: the completed run
+	// before it leaves nothing behind in the fold.
+	mr := NewMultiRunner()
+	if _, err := mr.Run(mcfg); err != nil {
+		t.Fatal(err)
 	}
-	if bcanc.At != scanc.At {
-		t.Errorf("batch cancelled at t=%g, scalar at t=%g", bcanc.At, scanc.At)
+	_, rerr := mr.RunContext(ctx, mcfg)
+	var rcanc *MultiCanceled
+	if !errors.As(rerr, &rcanc) {
+		t.Fatalf("reused multi run: %v, want MultiCanceled", rerr)
 	}
-	if got, want := multiTotals(bcanc.Partial), scalarTotals(scanc.Partial); !reflect.DeepEqual(got, want) {
-		t.Errorf("batch partial results diverge\ngot  %+v\nwant %+v", got, want)
+	if rcanc.At != scanc.At {
+		t.Errorf("reused runner cancelled at t=%g, scalar at t=%g", rcanc.At, scanc.At)
+	}
+	if got, want := multiTotals(rcanc.Partial), scalarTotals(scanc.Partial); !reflect.DeepEqual(got, want) {
+		t.Errorf("reused runner partial results diverge\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

@@ -318,26 +318,8 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // errored or cancelled run must not be able to poison this one — and
 // executes the event loop.
 func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Tasks == nil || cfg.Tasks.Len() == 0 {
-		return nil, task.ErrEmptySet
-	}
-	if cfg.Machine == nil {
-		return nil, fmt.Errorf("sim: nil machine spec")
-	}
-	if err := cfg.Machine.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("sim: nil policy")
-	}
-	if cfg.Exec == nil {
-		cfg.Exec = task.FullWCET{}
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 20 * cfg.Tasks.MaxPeriod()
-	}
-	wireDistributions(cfg.Policy, cfg.Exec)
-	if err := cfg.Policy.Attach(cfg.Tasks, cfg.Machine); err != nil {
+	cfg, err := prepare(cfg)
+	if err != nil {
 		return nil, err
 	}
 
@@ -417,6 +399,34 @@ func (r *Runner) run(ctx context.Context, cfg Config) (*Result, error) {
 		cfg.Metrics.observe(&s.res, s.resTime, cfg.Machine)
 	}
 	return &s.res, nil
+}
+
+// prepare validates cfg, applies its defaults and attaches the policy:
+// the start of every run, scalar or batch lane.
+func prepare(cfg Config) (Config, error) {
+	if cfg.Tasks == nil || cfg.Tasks.Len() == 0 {
+		return cfg, task.ErrEmptySet
+	}
+	if cfg.Machine == nil {
+		return cfg, fmt.Errorf("sim: nil machine spec")
+	}
+	if err := cfg.Machine.Validate(); err != nil {
+		return cfg, err
+	}
+	if cfg.Policy == nil {
+		return cfg, fmt.Errorf("sim: nil policy")
+	}
+	if cfg.Exec == nil {
+		cfg.Exec = task.FullWCET{}
+	}
+	if cfg.Horizon <= 0 {
+		cfg.Horizon = 20 * cfg.Tasks.MaxPeriod()
+	}
+	wireDistributions(cfg.Policy, cfg.Exec)
+	if err := cfg.Policy.Attach(cfg.Tasks, cfg.Machine); err != nil {
+		return cfg, err
+	}
+	return cfg, nil
 }
 
 // growZeroed returns a zeroed slice of length n, reusing s's backing
